@@ -2,20 +2,32 @@
 
 Tie-break at equal ticks: edge disappearances first, then edge appearances
 (both in lexicographic edge order), then message deliveries in message-id
-order, then protocol callbacks in vertex-id order.  The engine is
-seed-independent; the ``seed`` argument is reserved for randomized scenario
-generation elsewhere.
+order, then protocol callbacks in vertex-id order (one vertex's callbacks in
+the order they were scheduled).  The engine is seed-independent; the
+``seed`` argument is reserved for randomized scenario generation elsewhere.
+
+The edge schedule is read lazily: the heap holds only each edge's next
+appearance, and firing an appearance pushes that occurrence's disappearance
+(when it is finite and before the horizon) and the edge's next appearance.
+The heap therefore holds O(edges + messages in flight + pending callbacks)
+entries whatever the horizon or the periods.
+
+Callbacks whose handler a ``Protocol`` subclass inherits unchanged from the
+no-op on ``Protocol`` (``on_init``, ``on_edge_appear``, ``on_edge_disappear``)
+are never scheduled: they return the state unchanged and send nothing, so
+dropping them changes no output and keeps the order of everything else.
+Any other object passed as the protocol gets every callback.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import DomainError
-from .graphs import Edge, VertexId, edge_key, make_edge, vertex_key
+from .graphs import Edge, VertexId, make_edge, vertex_key
 from .tvg import Tick, Tvg
 
 EDGE_UP = "EdgeUp"
@@ -45,7 +57,7 @@ def deterministic_order() -> Tuple[str, ...]:
     return ORDERING_CONTRACT
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     id: int
     sender: VertexId
@@ -54,7 +66,7 @@ class Message:
     payload: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     time: Tick
     kind: str
@@ -124,113 +136,132 @@ class Protocol:
         raise NotImplementedError
 
 
+def _is_noop(protocol, handler: str) -> bool:
+    """True when ``protocol`` inherits ``handler`` unchanged from the no-op on
+    ``Protocol``.  Only ``Protocol`` subclasses qualify: any other object
+    (a delegating proxy, say) may do anything in any handler."""
+    if not isinstance(protocol, Protocol):
+        return False
+    return getattr(getattr(protocol, handler), "__func__", None) is getattr(Protocol, handler)
+
+
 def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:
     if horizon <= 0:
         raise DomainError("horizon must be positive")
     verts = tvg.graph.sorted_vertices()
+    edges = tvg.graph.sorted_edges()
+    # Heap keys: positions in the canonical vertex and edge orders.
+    vertex_index = {v: i for i, v in enumerate(verts)}
+    edge_index = {e: i for i, e in enumerate(edges)}
+    edge_of: Dict[Tuple[VertexId, VertexId], Edge] = {}
+    for e in edges:
+        edge_of[e] = edge_of[(e[1], e[0])] = e
+    latency = tvg.latency
+    phi = tvg.process_latency
+    output = protocol.output
+    format_output = protocol.format_output
+    on_receive = protocol.on_receive
+
     states = {v: protocol.initial_state(v) for v in verts}
-    initial_outputs = {v: protocol.output(states[v]) for v in verts}
+    initial_outputs = {v: output(states[v]) for v in verts}
     current_output = dict(initial_outputs)
     events: List[TraceEvent] = []
-    phi = tvg.process_latency
 
     seq = itertools.count()
     heap: List[Tuple] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    def push(tick: Tick, phase: int, key, action):
-        if tick < horizon:
-            heapq.heappush(heap, (tick, phase, key, next(seq), action))
+    # Callback items (handler, vertex, extra handler arguments), built once per
+    # edge endpoint; None where the handler is an inherited no-op.
+    def endpoint_items(handler: str, e: Edge):
+        if _is_noop(protocol, handler):
+            return None
+        fn = getattr(protocol, handler)
+        return ((fn, e[0], (e[1],)), (fn, e[1], (e[0],)))
 
-    for e in tvg.graph.sorted_edges():
-        for (s, end) in tvg.schedule[e].occurrences():
-            if s >= horizon:
-                break
-            push(s, _PHASE_UP, edge_key(e), ("up", e, end))
-            if end is not None:
-                push(end, _PHASE_DOWN, edge_key(e), ("down", e))
+    appear_items = {e: endpoint_items("on_edge_appear", e) for e in edges}
+    disappear_items = {e: endpoint_items("on_edge_disappear", e) for e in edges}
 
-    for v in verts:
-        push(0, _PHASE_CALLBACK, (vertex_key(v),), ("init", v))
+    def push_callbacks(t: Tick, items):
+        if items is not None and t < horizon:
+            for item in items:
+                heappush(heap, (t, _PHASE_CALLBACK, vertex_index[item[1]], next(seq), item))
+
+    # Lazy schedule: only each edge's next appearance is on the heap; its
+    # disappearance and the following appearance are pushed when it fires.
+    occurrences = {e: tvg.schedule[e].occurrences() for e in edges}
+
+    def push_next_up(e: Edge):
+        occ = next(occurrences[e], None)
+        if occ is not None and occ[0] < horizon:
+            heappush(heap, (occ[0], _PHASE_UP, edge_index[e], next(seq), (e, occ[1])))
+
+    for e in edges:
+        push_next_up(e)
+    if not _is_noop(protocol, "on_init"):
+        for v in verts:
+            heappush(heap, (0, _PHASE_CALLBACK, vertex_index[v], next(seq), (protocol.on_init, v, ())))
 
     up_end: Dict[Edge, Optional[Tick]] = {}  # current occurrence end while up
-    pending: Dict[Edge, List[Message]] = {e: [] for e in tvg.graph.edges}
-    doomed: Dict[Edge, List[Message]] = {e: [] for e in tvg.graph.edges}
+    pending: Dict[Edge, Dict[int, Message]] = {e: {} for e in edges}
+    doomed: Dict[Edge, List[Message]] = {e: [] for e in edges}
     msg_ids = itertools.count(1)
-
-    def record(t: Tick, kind: str, subject: Tuple[str, ...], value=None):
-        events.append(TraceEvent(t, kind, subject, value))
 
     def attempt(m: Message, t: Tick):
         end = up_end[m.edge]
-        z = tvg.latency[m.edge]
-        if end is None or t + z <= end:
-            push(t + z, _PHASE_DELIVERY, (m.id,), ("deliver", m))
+        arrival = t + latency[m.edge]
+        if end is None or arrival <= end:
+            if arrival < horizon:
+                heappush(heap, (arrival, _PHASE_DELIVERY, m.id, next(seq), m))
         else:
             doomed[m.edge].append(m)
 
-    def invoke_send(sender: VertexId, dest: VertexId, payload, t: Tick):
-        e = make_edge(sender, dest)
-        if e not in tvg.graph.edges:
-            raise DomainError(f"protocol sent over unknown edge {e}")
-        m = Message(next(msg_ids), sender, dest, e, payload)
-        record(t, SEND_INVOKED, (str(m.id), sender, dest))
-        pending[e].append(m)
-        if e in up_end:
-            attempt(m, t)
-
-    def run_callback(v: VertexId, action, t: Tick):
-        state = states[v]
-        if action[0] == "init":
-            state, sends = protocol.on_init(state, v)
-        elif action[0] == "appear":
-            state, sends = protocol.on_edge_appear(state, v, action[2])
-        elif action[0] == "disappear":
-            state, sends = protocol.on_edge_disappear(state, v, action[2])
-        else:  # receive
-            state, sends = protocol.on_receive(state, v, action[2], action[3])
-        states[v] = state
-        out = protocol.output(state)
-        if out != current_output[v]:
-            current_output[v] = out
-            record(t, OUTPUT_CHANGED, (v, protocol.format_output(out)), value=out)
-        for dest, payload in sends:
-            invoke_send(v, dest, payload, t)
-
     while heap:
-        tick, phase, key, _, action = heapq.heappop(heap)
-        if action[0] == "up":
-            _, e, end = action
-            record(tick, EDGE_UP, e)
+        tick, phase, _, _, item = heappop(heap)
+        if phase == _PHASE_CALLBACK:
+            handler, v, args = item
+            state, sends = handler(states[v], v, *args)
+            states[v] = state
+            out = output(state)
+            if out != current_output[v]:
+                current_output[v] = out
+                events.append(TraceEvent(tick, OUTPUT_CHANGED, (v, format_output(out)), out))
+            for dest, payload in sends:
+                e = edge_of.get((v, dest))
+                if e is None:
+                    raise DomainError(f"protocol sent over unknown edge {make_edge(v, dest)}")
+                m = Message(next(msg_ids), v, dest, e, payload)
+                events.append(TraceEvent(tick, SEND_INVOKED, (str(m.id), v, dest)))
+                pending[e][m.id] = m
+                if e in up_end:
+                    attempt(m, tick)
+        elif phase == _PHASE_UP:
+            e, end = item
+            events.append(TraceEvent(tick, EDGE_UP, e))
             up_end[e] = end
-            for m in list(pending[e]):
+            for m in pending[e].values():
                 attempt(m, tick)
-            for v in sorted(e, key=vertex_key):
-                other = e[1] if e[0] == v else e[0]
-                push(tick + phi, _PHASE_CALLBACK, (vertex_key(v),), ("appear", v, other))
-        elif action[0] == "down":
-            _, e = action
-            record(tick, EDGE_DOWN, e)
+            push_callbacks(tick + phi, appear_items[e])
+            if end is not None and end < horizon:
+                heappush(heap, (end, _PHASE_DOWN, edge_index[e], next(seq), e))
+            push_next_up(e)
+        elif phase == _PHASE_DOWN:
+            e = item
+            events.append(TraceEvent(tick, EDGE_DOWN, e))
             up_end.pop(e, None)
-            for m in doomed[e]:
-                record(tick, MESSAGE_LOST, (str(m.id),))
-            doomed[e] = []
-            for v in sorted(e, key=vertex_key):
-                other = e[1] if e[0] == v else e[0]
-                push(tick + phi, _PHASE_CALLBACK, (vertex_key(v),), ("disappear", v, other))
-        elif action[0] == "deliver":
-            m = action[1]
-            record(tick, MESSAGE_DELIVERED, (str(m.id),))
-            pending[m.edge].remove(m)
-            push(
-                tick + phi,
-                _PHASE_CALLBACK,
-                (vertex_key(m.receiver),),
-                ("receive", m.receiver, m.sender, m.payload),
-            )
-        else:
-            run_callback(action[1], action, tick)
+            lost = doomed[e]
+            if lost:
+                for m in lost:
+                    events.append(TraceEvent(tick, MESSAGE_LOST, (str(m.id),)))
+                doomed[e] = []
+            push_callbacks(tick + phi, disappear_items[e])
+        else:  # delivery
+            m = item
+            events.append(TraceEvent(tick, MESSAGE_DELIVERED, (str(m.id),)))
+            del pending[m.edge][m.id]
+            push_callbacks(tick + phi, ((on_receive, m.receiver, (m.sender, m.payload)),))
 
-    formatted = {v: protocol.format_output(current_output[v]) for v in verts}
+    formatted = {v: format_output(current_output[v]) for v in verts}
     return Trace(
         events=events,
         initial_outputs=initial_outputs,

@@ -55,7 +55,8 @@ class StaticGraph:
         return sorted(self.vertices, key=vertex_key)
 
     def sorted_edges(self):
-        return sorted(self.edges, key=edge_key)
+        # edge_key flattened into one tuple: the same order, one key call per edge.
+        return sorted(self.edges, key=lambda e: (len(e[0]), e[0], len(e[1]), e[1]))
 
     def neighbors(self, v: VertexId) -> set:
         if v not in self.vertices:

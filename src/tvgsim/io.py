@@ -108,7 +108,9 @@ def tvg_from_dict(obj: dict) -> Tvg:
         if u == v:
             raise ParseError(f"{where}: self-loop on {u!r}")
         z = entry.get("latency")
-        if not isinstance(z, int) or z < 1:
+        # Integer fields test type(x) is int: JSON true/false load as bool,
+        # an int subclass, and must not pass as 1/0.
+        if type(z) is not int or z < 1:
             raise ParseError(f"{where}: latency must be an integer >= 1")
         intervals = entry.get("intervals", [])
         if not isinstance(intervals, list):
@@ -118,7 +120,8 @@ def tvg_from_dict(obj: dict) -> Tvg:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)
+                or type(pair[0]) is not int
+                or type(pair[1]) is not int
             ):
                 raise ParseError(f"{where}: interval {pair!r} must be a pair of integers")
             if pair[0] < 0 or pair[1] <= pair[0]:
@@ -129,13 +132,12 @@ def tvg_from_dict(obj: dict) -> Tvg:
         if periodic is not None:
             if not isinstance(periodic, dict):
                 raise ParseError(f"{where}: periodic must be an object")
+            fields = (periodic.get("offset"), periodic.get("period"), periodic.get("duration"))
+            if tuple(map(type, fields)) != (int, int, int):
+                raise ParseError(f"{where}: periodic offset, period and duration must be integers")
             try:
-                tail = PeriodicTail(
-                    int(periodic["offset"]),
-                    int(periodic["period"]),
-                    int(periodic["duration"]),
-                )
-            except (KeyError, TypeError, ValueError, DomainError) as exc:
+                tail = PeriodicTail(*fields)
+            except DomainError as exc:
                 raise ParseError(f"{where}: invalid periodic tail: {exc}") from None
         if not parsed and tail is None:
             raise ParseError(f"{where}: edge has no presence at all; remove it instead")
@@ -149,7 +151,7 @@ def tvg_from_dict(obj: dict) -> Tvg:
         latency[e] = z
         edges.append(e)
     pl = obj.get("process_latency", 0)
-    if not isinstance(pl, int) or pl < 0:
+    if type(pl) is not int or pl < 0:
         raise ParseError("process_latency must be a non-negative integer")
     graph = StaticGraph.of(raw_vertices, edges)
     return Tvg(graph, schedule, latency, pl)

@@ -215,11 +215,13 @@ class FloodProtocol(Protocol):
         return BroadcastState(vertex == self.origin, frozenset(), frozenset())
 
     def on_edge_appear(self, state, vertex, other):
-        known = state.known_neighbors | {other}
         if state.have_message and other not in state.informed_neighbors:
+            known = state.known_neighbors | {other}
             new_state = BroadcastState(True, state.informed_neighbors | {other}, known)
             return new_state, [(other, self.payload)]
-        return replace(state, known_neighbors=known), []
+        if other in state.known_neighbors:
+            return state, []
+        return replace(state, known_neighbors=state.known_neighbors | {other}), []
 
     def on_receive(self, state, vertex, sender, payload):
         informed = state.informed_neighbors | {sender}

@@ -143,7 +143,8 @@ def generate_random_cot(
                 intervals.append((start, rng.randint(start + 1, offset - 1)))
             schedule[e] = PresenceSchedule.of(intervals, PeriodicTail(offset, period, duration))
     tvg = Tvg(underlying, schedule, latency, 0)
-    assert is_connected_over_time(tvg)
+    if not is_connected_over_time(tvg):
+        raise GenerationError("generated scenario is not connected over time")
     return tvg
 
 

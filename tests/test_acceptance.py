@@ -22,6 +22,7 @@ import json
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
@@ -51,7 +52,7 @@ from tvgsim.graphs import (
     make_edge,
 )
 from tvgsim.metrics import convergence_steps, nps_ug
-from tvgsim.protocols import MdstProtocol, UgProtocol
+from tvgsim.protocols import FloodProtocol, MdstProtocol, UgProtocol
 from tvgsim.scenarios import (
     adversary_destabilize,
     generate_gk,
@@ -320,9 +321,62 @@ def _corpus_digest():
     return h.hexdigest()
 
 
+# Digests of the serialized traces, recorded before the engine's lazy edge
+# schedule and callback elision landed; both must stay byte-for-byte equal.
+CORPUS_DIGEST = "26013af0895b0ac42cb2b650994580e7d20362e9b9c5fd762bb604d7d4c609e1"
+ENGINE_CORPUS_DIGEST = "1d4158dab6f9176e7d6df41f7e2c0ad537a88cb6a86d617c0ade529275db97e9"
+
+
+def _engine_corpus():
+    """Flood and mdst scenarios aimed at the engine's schedule handling:
+    finite intervals before a periodic tail, contiguous tails, occurrences
+    too short for the latency, horizons that cut an occurrence or leave a
+    message in flight, and process latency."""
+    abc = StaticGraph.of(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    mixed = Tvg(
+        abc,
+        {
+            ("a", "b"): PresenceSchedule.of([(0, 2), (5, 7)], PeriodicTail(10, 4, 2)),
+            ("b", "c"): PresenceSchedule.of([(1, 2)], PeriodicTail(3, 1, 1)),
+            ("a", "c"): PresenceSchedule.of([(2, 3), (6, 9)], PeriodicTail(12, 5, 3)),
+        },
+        {("a", "b"): 2, ("b", "c"): 1, ("a", "c"): 3},
+    )
+    lossy = Tvg(
+        StaticGraph.of(["a", "b"], [("a", "b")]),
+        {("a", "b"): PresenceSchedule.of([(0, 1), (3, 5)], PeriodicTail(8, 7, 3))},
+        {("a", "b"): 3},
+    )
+    cases = [
+        (mixed, FloodProtocol("a"), 40),
+        (mixed, FloodProtocol("c"), 13),  # cuts the [12,15) occurrence of a-c
+        (replace(mixed, process_latency=2), FloodProtocol("b"), 40),
+        (mixed, MdstProtocol(), 37),
+        (replace(mixed, process_latency=1), MdstProtocol(), 31),
+        (lossy, FloodProtocol("a"), 9),  # the retried send is still in flight
+        (lossy, FloodProtocol("a"), 30),
+    ]
+    for seed in range(3):
+        tvg = generate_random_cot(4 + seed, 0.4, 0.3, 24, seed)
+        cases.append((tvg, FloodProtocol("p1"), 97))
+        cases.append((replace(tvg, process_latency=seed + 1), MdstProtocol(), 90))
+    return cases
+
+
+def _engine_corpus_digest():
+    h = hashlib.sha256()
+    for tvg, protocol, horizon in _engine_corpus():
+        h.update(run(tvg, protocol, horizon).serialize().encode())
+    return h.hexdigest()
+
+
+def test_engine_corpus_digest_is_pinned():
+    assert _engine_corpus_digest() == ENGINE_CORPUS_DIGEST
+
+
 def test_traces_are_deterministic_across_runs_and_interpreters():
     digest = _corpus_digest()
-    assert digest == _corpus_digest()
+    assert digest == CORPUS_DIGEST
 
     program = textwrap.dedent(
         """

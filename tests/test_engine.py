@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 
 from tvgsim.engine import (
@@ -16,7 +18,7 @@ from tvgsim.errors import DomainError
 from tvgsim.graphs import StaticGraph
 from tvgsim.protocols import FloodProtocol, UgProtocol
 from tvgsim.scenarios import ALWAYS, generate_gk
-from tvgsim.tvg import PresenceSchedule, Tvg
+from tvgsim.tvg import PeriodicTail, PresenceSchedule, Tvg
 
 
 def two_vertex(schedule, latency=1, phi=0):
@@ -168,3 +170,60 @@ def test_send_over_unknown_edge_rejected():
     )
     with pytest.raises(DomainError):
         run(tvg, Rogue("a", "c"), 10)
+
+
+def heap_high_water(monkeypatch, tvg, protocol, horizon):
+    """Largest size the event heap reaches during ``run``; only a push can
+    raise it, so spying on ``heapq.heappush`` suffices."""
+    mark = 0
+    real_push = heapq.heappush
+
+    def push(heap, item):
+        nonlocal mark
+        real_push(heap, item)
+        mark = max(mark, len(heap))
+
+    with monkeypatch.context() as m:
+        m.setattr(heapq, "heappush", push)
+        run(tvg, protocol, horizon)
+    return mark
+
+
+def test_heap_does_not_grow_with_horizon(monkeypatch):
+    tvg = two_vertex(PresenceSchedule.of([], PeriodicTail(0, 4, 1)))
+    marks = [heap_high_water(monkeypatch, tvg, FloodProtocol("a"), h) for h in (10**3, 10**5)]
+    assert marks[0] == marks[1]
+    assert marks[1] <= 4
+
+
+class CountingProxy:
+    """Delegates to a protocol without subclassing Protocol, counting calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {}
+        self.initial_state = inner.initial_state
+        self.output = inner.output
+        self.format_output = inner.format_output
+        for name in ("on_init", "on_edge_appear", "on_edge_disappear", "on_receive"):
+            setattr(self, name, self._counted(name, getattr(inner, name)))
+
+    def _counted(self, name, fn):
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args)
+
+        return counted
+
+
+def test_noop_elision_keeps_trace_and_spares_proxies():
+    tvg = generate_gk(2)
+    proxy = CountingProxy(UgProtocol())
+    proxied = run(tvg, proxy, 40)
+    # UgProtocol inherits on_init and on_edge_disappear: the engine skips
+    # them for the protocol itself, but a non-Protocol object gets them all.
+    assert run(tvg, UgProtocol(), 40).serialize() == proxied.serialize()
+    downs = sum(1 for ev in proxied.events if ev.kind == EDGE_DOWN)
+    assert downs > 0
+    assert proxy.calls["on_init"] == len(tvg.graph.vertices)
+    assert proxy.calls["on_edge_disappear"] == 2 * downs

@@ -42,6 +42,16 @@ def test_vertex_order_is_total_on_identifiers():
     assert ordered == ["Z", "_", "a", "p1", "p2", "abc", "p10"]
 
 
+identifiers = st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(identifiers, identifiers).filter(lambda p: p[0] != p[1]), max_size=30))
+def test_sorted_edges_is_edge_key_order(pairs):
+    g = StaticGraph.of({v for p in pairs for v in p}, pairs)
+    assert g.sorted_edges() == sorted(g.edges, key=edge_key)
+
+
 def test_of_rejects_stray_endpoint():
     with pytest.raises(DomainError):
         StaticGraph.of(["a", "b"], [("a", "c")])

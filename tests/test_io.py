@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvgsim.errors import ParseError
+from tvgsim.graphs import StaticGraph
 from tvgsim.io import (
     load_graph_file,
     load_scenario,
@@ -12,6 +15,7 @@ from tvgsim.io import (
     tvg_to_dict,
 )
 from tvgsim.scenarios import generate_gk, generate_random_cot
+from tvgsim.tvg import PeriodicTail, PresenceSchedule, Tvg
 
 GOOD_GRAPH = """\
 # a triangle
@@ -98,6 +102,60 @@ def test_scenario_errors(mutate, fragment):
     with pytest.raises(ParseError) as exc:
         tvg_from_dict(d)
     assert fragment in str(exc.value)
+
+
+def _set_tail_field(d, name, value):
+    d["edges"][0]["periodic"][name] = value
+
+
+NON_INTEGER_FIELDS = {
+    "latency": lambda d, x: d["edges"][0].update(latency=x),
+    "process_latency": lambda d, x: d.update(process_latency=x),
+    "interval_start": lambda d, x: d["edges"][0].update(intervals=[[x, 3]]),
+    "interval_end": lambda d, x: d["edges"][0].update(intervals=[[0, x]]),
+    "periodic_offset": lambda d, x: _set_tail_field(d, "offset", x),
+    "periodic_period": lambda d, x: _set_tail_field(d, "period", x),
+    "periodic_duration": lambda d, x: _set_tail_field(d, "duration", x),
+}
+
+
+# JSON true/false and non-integral numbers are never coerced to ints.
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "3", None])
+@pytest.mark.parametrize("field", NON_INTEGER_FIELDS)
+def test_scenario_rejects_non_integer_field(field, bad):
+    d = tvg_to_dict(generate_gk(1))
+    assert d["edges"][0]["periodic"] == {"offset": 1, "period": 1, "duration": 1}
+    NON_INTEGER_FIELDS[field](d, bad)
+    with pytest.raises(ParseError):
+        tvg_from_dict(d)
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(2, 5))
+    verts = [f"v{i}" for i in range(n)]
+    pairs = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    schedule, latency = {}, {}
+    for e in edges:
+        spans = st.tuples(st.integers(0, 40), st.integers(1, 5))
+        intervals = [(s, s + d) for s, d in draw(st.lists(spans, max_size=3))]
+        tail = None
+        if not intervals or draw(st.booleans()):
+            period = draw(st.integers(1, 6))
+            offset = max((end for _, end in intervals), default=0) + draw(st.integers(0, 5))
+            tail = PeriodicTail(offset, period, draw(st.integers(1, period)))
+        schedule[e] = PresenceSchedule.of(intervals, tail)
+        latency[e] = draw(st.integers(1, 4))
+    return Tvg(StaticGraph.of(verts, edges), schedule, latency, draw(st.integers(0, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_scenario_dict_roundtrip(tvg):
+    d = json.loads(json.dumps(tvg_to_dict(tvg)))
+    assert tvg_from_dict(d) == tvg
+    assert tvg_to_dict(tvg_from_dict(d)) == d
 
 
 def test_duplicate_edge_rejected():

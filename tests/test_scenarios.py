@@ -76,6 +76,15 @@ def test_random_cot_properties():
         assert all(s.first_appearance() < 32 for s in tvg.schedule.values())
 
 
+def test_random_cot_raises_when_not_connected_over_time(monkeypatch):
+    # The final check is an exception, not an assert, so it holds under -O.
+    from tvgsim import scenarios
+
+    monkeypatch.setattr(scenarios, "is_connected_over_time", lambda tvg: False)
+    with pytest.raises(GenerationError):
+        generate_random_cot(6, 0.3, 0.2, 32, 0)
+
+
 def test_random_cot_deterministic():
     a = generate_random_cot(7, 0.4, 0.3, 48, 11)
     b = generate_random_cot(7, 0.4, 0.3, 48, 11)
