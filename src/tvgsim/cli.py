@@ -13,16 +13,10 @@ from typing import Optional
 
 from . import graphs, io, metrics, scenarios
 from .engine import run
-from .errors import (
-    DomainError,
-    GenerationError,
-    NotConvergedError,
-    ParseError,
-    TvgsimError,
-)
+from .errors import NotConvergedError, ParseError, TvgsimError
 from .graphs import vertex_key
-from .protocols import get_protocol
-from .tvg import earliest_arrival, eventual_underlying_graph, underlying_graph
+from .protocols import PROTOCOLS, get_protocol
+from .tvg import earliest_arrival, underlying_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,20 +65,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _converged(protocol_name: str, tvg, trace) -> bool:
-    finals = trace.final_outputs
-    if protocol_name == "ug":
-        target = underlying_graph(tvg)
-        return all(out == target for out in finals.values())
-    if protocol_name == "flood":
-        return all(finals.values())
-    # dominating-set layer: the final true-set must dominate minimally on the
-    # eventual underlying graph
-    true_set = frozenset(v for v, out in finals.items() if out)
-    eug = eventual_underlying_graph(tvg)
-    return graphs.is_minimal_dominating(eug, true_set)
-
-
 def cmd_simulate(args) -> int:
     tvg = io.load_scenario(args.scenario)
     protocol = get_protocol(args.protocol, origin=args.origin)
@@ -94,22 +74,15 @@ def cmd_simulate(args) -> int:
             fh.write(trace.serialize())
     for v in sorted(trace.formatted_finals, key=vertex_key):
         print(f"{v} {trace.formatted_finals[v]}")
-    if not _converged(args.protocol, tvg, trace):
-        print("not converged within horizon", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    # The problem is read off the registered class: the protocol object may
+    # be a wrapper that forwards only the handlers.
+    problem = PROTOCOLS[args.protocol]
+    if not problem.converged(tvg, trace.final_outputs):
+        raise NotConvergedError("not converged within horizon")
     if args.metrics:
-        ug = underlying_graph(tvg)
-        if args.protocol == "flood":
-            nps = metrics.nps_broadcast(ug, args.origin)
-            predicate = lambda outs: all(outs.values())
-        elif args.protocol == "ug":
-            nps = metrics.nps_ug(ug)
-            predicate = lambda outs: all(out == ug for out in outs.values())
-        else:
-            nps = metrics.nps_ug(ug)
-            final_true = frozenset(v for v, out in trace.final_outputs.items() if out)
-            predicate = lambda outs: frozenset(v for v, o in outs.items() if o) == final_true
-        report = metrics.convergence_steps(trace, nps, predicate)
+        nps = problem.nps(underlying_graph(tvg), args.origin)
+        final = trace.final_outputs
+        report = metrics.convergence_steps(trace, nps, lambda outs: outs == final)
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     return EXIT_OK
 
@@ -168,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a protocol over a scenario")
     p.add_argument("scenario")
-    p.add_argument("--protocol", choices=["ug", "mdst", "flood"], required=True)
+    p.add_argument("--protocol", choices=sorted(PROTOCOLS), required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--trace", help="write the serialized trace to this file")
     p.add_argument("--metrics", action="store_true", help="print the complexity report as JSON")
@@ -219,19 +192,13 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    except (DomainError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TvgsimError as exc:
+    except TvgsimError as exc:  # DomainError, GenerationError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

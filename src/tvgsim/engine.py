@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import DomainError
-from .graphs import Edge, VertexId, make_edge, vertex_key
+from .graphs import Edge, StaticGraph, VertexId, make_edge, vertex_key
 from .tvg import Tick, Tvg
 
 EDGE_UP = "EdgeUp"
@@ -133,6 +133,16 @@ class Protocol:
         raise NotImplementedError
 
     def format_output(self, value) -> str:
+        raise NotImplementedError
+
+    @staticmethod
+    def converged(tvg: Tvg, outputs: Dict[VertexId, Any]) -> bool:
+        """Whether final ``outputs`` solve the protocol's problem on ``tvg``."""
+        raise NotImplementedError
+
+    @staticmethod
+    def nps(graph: StaticGraph, origin: Optional[VertexId]):
+        """The problem's necessary-presence-set family on the underlying graph."""
         raise NotImplementedError
 
 

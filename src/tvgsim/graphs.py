@@ -84,15 +84,7 @@ class StaticGraph:
         """Induced subgraph on the connected component containing v."""
         if v not in self.vertices:
             raise DomainError(f"unknown vertex {v!r}")
-        adj = self._adjacency()
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
+        seen = _bfs_distances(self._adjacency(), v)
         es = frozenset(e for e in self.edges if e[0] in seen and e[1] in seen)
         return StaticGraph(frozenset(seen), es)
 
@@ -107,20 +99,12 @@ class StaticGraph:
 def is_connected(g: StaticGraph) -> bool:
     if not g.vertices:
         raise DomainError("connectivity is undefined on an empty vertex set")
-    adj = g._adjacency()
-    start = next(iter(g.vertices))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(g.vertices)
+    return len(_bfs_distances(g._adjacency(), next(iter(g.vertices)))) == len(g.vertices)
 
 
 def _bfs_distances(adj, source):
+    """Hop distance from ``source`` to every vertex it reaches: the one BFS
+    behind connectivity, components and the diameter."""
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -250,17 +234,18 @@ def is_smds_via_cutsets(g: StaticGraph, m: Iterable[VertexId]) -> bool:
         raise DomainError("cut-set characterization requires a connected graph")
     if not is_minimal_dominating(g, ms):
         raise DomainError("cut-set characterization requires a minimal dominating set")
-    for p in g.vertices - ms:
-        dominators = {make_edge(p, q) for q in g.neighbors(p) & ms}
-        if not is_cut_set(g, dominators):
-            return False
-    return True
+    return _first_witness(g, ms) is None
 
 
 def smds_witness(g: StaticGraph, m: Iterable[VertexId]) -> Optional[VertexId]:
     """First dominated vertex (in id order) whose dominator edges are not a
     cut-set, or None when the candidate passes the characterization."""
-    ms = frozenset(m)
+    return _first_witness(g, frozenset(m))
+
+
+def _first_witness(g: StaticGraph, ms: FrozenSet[VertexId]) -> Optional[VertexId]:
+    # Neither public name calls the other, so a count of calls to one of
+    # them counts only its own callers.
     for p in sorted(g.vertices - ms, key=vertex_key):
         dominators = {make_edge(p, q) for q in g.neighbors(p) & ms}
         if not is_cut_set(g, dominators):

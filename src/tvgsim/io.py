@@ -10,7 +10,7 @@ from .errors import DomainError, ParseError
 from .graphs import StaticGraph, make_edge
 from .tvg import PeriodicTail, PresenceSchedule, Tvg
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 def parse_graph_text(text: str) -> StaticGraph:
@@ -29,7 +29,7 @@ def parse_graph_text(text: str) -> StaticGraph:
             if not ids:
                 raise ParseError(f"line {lineno}: empty vertex list")
             for v in ids:
-                if not _ID_RE.match(v):
+                if not _ID_RE.fullmatch(v):
                     raise ParseError(f"line {lineno}: invalid identifier {v!r}")
             if len(set(ids)) != len(ids):
                 raise ParseError(f"line {lineno}: duplicate vertex identifier")
@@ -88,7 +88,7 @@ def tvg_from_dict(obj: dict) -> Tvg:
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise ParseError("scenario needs a nonempty 'vertices' array")
     for v in raw_vertices:
-        if not isinstance(v, str) or not _ID_RE.match(v):
+        if not isinstance(v, str) or not _ID_RE.fullmatch(v):
             raise ParseError(f"invalid vertex identifier {v!r}")
     if len(set(raw_vertices)) != len(raw_vertices):
         raise ParseError("duplicate vertex identifier")

@@ -3,12 +3,17 @@ layer built on top of it, and a flooding broadcast.
 
 The underlying-graph protocol is greedy: the local graph only grows, and every
 growth is propagated (full graph, not deltas) to every neighbor seen so far.
+
+Each protocol class also states the problem it solves: ``converged`` decides
+whether final outputs solve it on a scenario, and ``nps`` gives its family of
+necessary presence sets.  Both are static, so the CLI reads them off the class
+registered in ``PROTOCOLS`` rather than off the instance it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .errors import DomainError
 from .engine import Protocol
@@ -16,12 +21,14 @@ from .graphs import (
     Edge,
     StaticGraph,
     VertexId,
-    edge_key,
     enumerate_minimal_dominating_sets,
     find_smds,
+    is_minimal_dominating,
     make_edge,
     vertex_key,
 )
+from .metrics import nps_broadcast, nps_ug
+from .tvg import eventual_underlying_graph, underlying_graph
 
 
 def graph_to_str(g: StaticGraph) -> str:
@@ -40,53 +47,43 @@ class UgState:
     known_neighbors: FrozenSet[VertexId]
 
 
-def ug_initial_state(vertex: VertexId) -> UgState:
-    return UgState(StaticGraph.of([vertex], []), frozenset())
-
-
-def ug_on_edge_appear(state: UgState, self_v: VertexId, other: VertexId) -> Tuple[UgState, List]:
-    e = make_edge(self_v, other)
-    if e in state.local_graph.edges:
-        return state, []
-    neighbors = state.known_neighbors | {other}
-    graph = state.local_graph.with_edge(self_v, other)
-    new_state = UgState(graph, neighbors)
-    sends = [(r, graph) for r in sorted(neighbors, key=vertex_key)]
-    return new_state, sends
-
-
-def ug_on_receive(state: UgState, self_v: VertexId, sender: VertexId, payload: StaticGraph) -> Tuple[UgState, List]:
-    if not isinstance(payload, StaticGraph):
-        raise DomainError(f"malformed payload from {sender!r}")
-    if not (payload.edges - state.local_graph.edges):
-        return state, []
-    graph = state.local_graph.union(payload)
-    new_state = replace(state, local_graph=graph)
-    sends = [(r, graph) for r in sorted(state.known_neighbors - {sender}, key=vertex_key)]
-    return new_state, sends
-
-
-def ug_output(state: UgState) -> StaticGraph:
-    return state.local_graph
-
-
 class UgProtocol(Protocol):
     name = "ug"
 
     def initial_state(self, vertex):
-        return ug_initial_state(vertex)
+        return UgState(StaticGraph.of([vertex], []), frozenset())
 
     def on_edge_appear(self, state, vertex, other):
-        return ug_on_edge_appear(state, vertex, other)
+        if make_edge(vertex, other) in state.local_graph.edges:
+            return state, []
+        neighbors = state.known_neighbors | {other}
+        graph = state.local_graph.with_edge(vertex, other)
+        sends = [(r, graph) for r in sorted(neighbors, key=vertex_key)]
+        return UgState(graph, neighbors), sends
 
     def on_receive(self, state, vertex, sender, payload):
-        return ug_on_receive(state, vertex, sender, payload)
+        if not isinstance(payload, StaticGraph):
+            raise DomainError(f"malformed payload from {sender!r}")
+        if not (payload.edges - state.local_graph.edges):
+            return state, []
+        graph = state.local_graph.union(payload)
+        sends = [(r, graph) for r in sorted(state.known_neighbors - {sender}, key=vertex_key)]
+        return replace(state, local_graph=graph), sends
 
     def output(self, state):
-        return ug_output(state)
+        return state.local_graph
 
     def format_output(self, value):
         return graph_to_str(value)
+
+    @staticmethod
+    def converged(tvg, outputs):
+        target = underlying_graph(tvg)
+        return all(out == target for out in outputs.values())
+
+    @staticmethod
+    def nps(graph, origin):
+        return nps_ug(graph)
 
 
 # Dominating-set layer.  Per-edge status counters: both endpoints of an edge
@@ -98,15 +95,10 @@ EdgeStatus = Tuple[int, bool]
 @dataclass(frozen=True)
 class MdstState:
     ug: UgState
-    edge_status: Tuple[Tuple[Edge, EdgeStatus], ...]
+    # Never mutated: every change builds a new dict, so a state (and the
+    # payloads that share its dict) stays valid once handed out.
+    edge_status: Dict[Edge, EdgeStatus]
     in_mdst: bool
-
-    def status_map(self) -> Dict[Edge, EdgeStatus]:
-        return dict(self.edge_status)
-
-
-def _freeze_status(status: Dict[Edge, EdgeStatus]):
-    return tuple(sorted(status.items(), key=lambda kv: edge_key(kv[0])))
 
 
 def mdst_chosen_set(local_graph: StaticGraph, status: Dict[Edge, EdgeStatus], self_v: VertexId) -> FrozenSet[VertexId]:
@@ -127,72 +119,64 @@ def mdst_chosen_set(local_graph: StaticGraph, status: Dict[Edge, EdgeStatus], se
     return enumerate_minimal_dominating_sets(comp2)[0]
 
 
-def mdst_recompute(state: MdstState, self_v: VertexId) -> MdstState:
-    chosen = mdst_chosen_set(state.ug.local_graph, state.status_map(), self_v)
-    return replace(state, in_mdst=self_v in chosen)
+def _merge_status(mine: Dict[Edge, EdgeStatus], theirs: Dict[Edge, EdgeStatus]) -> Dict[Edge, EdgeStatus]:
+    """``mine`` updated with every newer entry of ``theirs``; ``mine`` itself
+    when nothing is newer."""
+    newer = {e: s for e, s in theirs.items() if e not in mine or s[0] > mine[e][0]}
+    return {**mine, **newer} if newer else mine
 
 
-def _merge_status(mine: Dict[Edge, EdgeStatus], theirs: Dict[Edge, EdgeStatus]) -> Tuple[Dict[Edge, EdgeStatus], bool]:
-    merged = dict(mine)
-    changed = False
-    for e, (count, up) in theirs.items():
-        if e not in merged or count > merged[e][0]:
-            merged[e] = (count, up)
-            changed = True
-    return merged, changed
+class MdstProtocol(UgProtocol):
+    """The dominating-set layer: the underlying-graph handlers run on
+    ``state.ug``, and every change is published with the edge status."""
 
-
-class MdstProtocol(Protocol):
     name = "mdst"
 
     def initial_state(self, vertex):
-        state = MdstState(ug_initial_state(vertex), (), False)
-        return mdst_recompute(state, vertex)
+        return self._publish(MdstState(super().initial_state(vertex), {}, False), vertex)[0]
 
-    def _payload(self, state: MdstState):
-        return (state.ug.local_graph, state.edge_status)
+    def _publish(self, state: MdstState, vertex, skip=frozenset()):
+        """Recompute membership; send (graph, status) to every known
+        neighbor not in ``skip``."""
+        chosen = mdst_chosen_set(state.ug.local_graph, state.edge_status, vertex)
+        state = replace(state, in_mdst=vertex in chosen)
+        payload = (state.ug.local_graph, state.edge_status)
+        return state, [(r, payload) for r in sorted(state.ug.known_neighbors - skip, key=vertex_key)]
+
+    def _observe(self, state: MdstState, ug_state: UgState, vertex, other, up: bool):
+        """Count one appearance (``up``) or disappearance of edge vertex-other."""
+        e = make_edge(vertex, other)
+        count = state.edge_status[e][0] if e in state.edge_status else 0
+        status = {**state.edge_status, e: (count + 1, up)}
+        return self._publish(MdstState(ug_state, status, state.in_mdst), vertex)
 
     def on_edge_appear(self, state, vertex, other):
-        e = make_edge(vertex, other)
-        ug_state, _ = ug_on_edge_appear(state.ug, vertex, other)
-        status = state.status_map()
-        count = status.get(e, (0, False))[0]
-        status[e] = (count + 1, True)
-        new_state = MdstState(ug_state, _freeze_status(status), state.in_mdst)
-        new_state = mdst_recompute(new_state, vertex)
-        payload = self._payload(new_state)
-        sends = [(r, payload) for r in sorted(ug_state.known_neighbors, key=vertex_key)]
-        return new_state, sends
+        ug_state, _ = super().on_edge_appear(state.ug, vertex, other)
+        return self._observe(state, ug_state, vertex, other, True)
 
     def on_edge_disappear(self, state, vertex, other):
-        e = make_edge(vertex, other)
-        status = state.status_map()
-        count = status.get(e, (0, True))[0]
-        status[e] = (count + 1, False)
-        new_state = MdstState(state.ug, _freeze_status(status), state.in_mdst)
-        new_state = mdst_recompute(new_state, vertex)
-        payload = self._payload(new_state)
-        sends = [(r, payload) for r in sorted(state.ug.known_neighbors, key=vertex_key)]
-        return new_state, sends
+        return self._observe(state, state.ug, vertex, other, False)
 
     def on_receive(self, state, vertex, sender, payload):
         graph, their_status = payload
-        ug_state, _ = ug_on_receive(state.ug, vertex, sender, graph)
-        graph_changed = ug_state is not state.ug
-        status, status_changed = _merge_status(state.status_map(), dict(their_status))
-        if not graph_changed and not status_changed:
+        ug_state, _ = super().on_receive(state.ug, vertex, sender, graph)
+        status = _merge_status(state.edge_status, their_status)
+        if ug_state is state.ug and status is state.edge_status:
             return state, []
-        new_state = MdstState(ug_state, _freeze_status(status), state.in_mdst)
-        new_state = mdst_recompute(new_state, vertex)
-        out = self._payload(new_state)
-        sends = [(r, out) for r in sorted(ug_state.known_neighbors - {sender}, key=vertex_key)]
-        return new_state, sends
+        return self._publish(MdstState(ug_state, status, state.in_mdst), vertex, {sender})
 
     def output(self, state):
         return state.in_mdst
 
     def format_output(self, value):
         return bool_to_str(value)
+
+    @staticmethod
+    def converged(tvg, outputs):
+        # The final true-set must dominate minimally on the eventual
+        # underlying graph.
+        true_set = frozenset(v for v, out in outputs.items() if out)
+        return is_minimal_dominating(eventual_underlying_graph(tvg), true_set)
 
 
 @dataclass(frozen=True)
@@ -207,9 +191,8 @@ class FloodProtocol(Protocol):
 
     name = "flood"
 
-    def __init__(self, origin: VertexId, payload="token"):
+    def __init__(self, origin: VertexId):
         self.origin = origin
-        self.payload = payload
 
     def initial_state(self, vertex):
         return BroadcastState(vertex == self.origin, frozenset(), frozenset())
@@ -218,7 +201,7 @@ class FloodProtocol(Protocol):
         if state.have_message and other not in state.informed_neighbors:
             known = state.known_neighbors | {other}
             new_state = BroadcastState(True, state.informed_neighbors | {other}, known)
-            return new_state, [(other, self.payload)]
+            return new_state, [(other, "token")]
         if other in state.known_neighbors:
             return state, []
         return replace(state, known_neighbors=state.known_neighbors | {other}), []
@@ -229,7 +212,7 @@ class FloodProtocol(Protocol):
             return replace(state, informed_neighbors=informed), []
         targets = sorted(state.known_neighbors - informed, key=vertex_key)
         new_state = BroadcastState(True, informed | set(targets), state.known_neighbors)
-        return new_state, [(r, self.payload) for r in targets]
+        return new_state, [(r, "token") for r in targets]
 
     def output(self, state):
         return state.have_message
@@ -237,14 +220,23 @@ class FloodProtocol(Protocol):
     def format_output(self, value):
         return bool_to_str(value)
 
+    @staticmethod
+    def converged(tvg, outputs):
+        return all(outputs.values())
+
+    @staticmethod
+    def nps(graph, origin):
+        return nps_broadcast(graph, origin)
+
+
+PROTOCOLS = {cls.name: cls for cls in (UgProtocol, MdstProtocol, FloodProtocol)}
+
 
 def get_protocol(name: str, origin: Optional[VertexId] = None) -> Protocol:
-    if name == "ug":
-        return UgProtocol()
-    if name == "mdst":
-        return MdstProtocol()
-    if name == "flood":
-        if origin is None:
-            raise DomainError("flood protocol requires an origin vertex")
-        return FloodProtocol(origin)
-    raise DomainError(f"unknown protocol {name!r}")
+    if name not in PROTOCOLS:
+        raise DomainError(f"unknown protocol {name!r}")
+    if PROTOCOLS[name] is not FloodProtocol:
+        return PROTOCOLS[name]()
+    if origin is None:
+        raise DomainError("flood protocol requires an origin vertex")
+    return FloodProtocol(origin)

@@ -209,6 +209,17 @@ class Tvg:
         for e, sched in self.schedule.items():
             if sched.is_empty:
                 raise DomainError(f"edge {e} has an empty schedule; drop it from the graph instead")
+            # Only the form PresenceSchedule.of produces: sorted, non-empty,
+            # non-touching intervals, a tail after them, a contiguous tail as
+            # (offset, 1, 1).  The engine and the journey search rely on it.
+            last = -1
+            for (s, end) in sched.intervals:
+                if not last < s < end:
+                    raise DomainError(f"edge {e} has a schedule not in normal form; build it with PresenceSchedule.of")
+                last = end
+            tail = sched.tail
+            if tail is not None and (tail.offset <= last or tail.duration == tail.period != 1):
+                raise DomainError(f"edge {e} has a schedule not in normal form; build it with PresenceSchedule.of")
         for e, z in self.latency.items():
             if z < 1:
                 raise DomainError(f"edge {e} has latency {z} < 1")

@@ -14,7 +14,8 @@
     enough;
  9. traces and metrics are byte-identical across runs and interpreter
     invocations;
-10. earliest-arrival queries match an exhaustive time-expanded search.
+10. earliest-arrival queries match an exhaustive time-expanded search;
+11. flood informs every vertex at its earliest deliverable arrival.
 """
 
 import hashlib
@@ -465,3 +466,28 @@ def test_earliest_arrival_matches_time_expanded_search():
             assert got == want, (tvg, source, target, after, deliverable, got, want)
             cases += 1
     assert cases == 300
+
+
+# --- 11: flood follows foremost deliverable journeys -----------------------
+
+FLOOD_SEEDS = 200
+FLOOD_HORIZON = 600
+
+
+@pytest.mark.parametrize("missing", [0.0, 0.3])
+def test_flood_arrival_matches_earliest_arrival(missing):
+    pairs = 0
+    for seed in range(FLOOD_SEEDS):
+        n = 3 + seed % 8  # 3..10
+        tvg = generate_random_cot(n, (seed % 4) / 10.0, missing, 64, seed)
+        assert tvg.process_latency == 0
+        origin = tvg.graph.sorted_vertices()[seed % n]
+        trace = run(tvg, FloodProtocol(origin), FLOOD_HORIZON)
+        informed = {ev.subject[0]: ev.time for ev in trace.events if ev.kind == OUTPUT_CHANGED}
+        for v in tvg.graph.vertices - {origin}:
+            want = earliest_arrival(tvg, origin, v, 0, deliverable=True)
+            if want is not None and want >= FLOOD_HORIZON:
+                want = None
+            assert informed.get(v) == want, (seed, origin, v)
+            pairs += 1
+    assert pairs > 1000

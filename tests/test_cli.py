@@ -117,6 +117,24 @@ def test_simulate_flood(g1_file, capsys):
     assert "p3 true" in out
 
 
+@pytest.mark.parametrize(
+    "argv,report",
+    [
+        (
+            ["--protocol", "flood", "--origin", "p0", "--horizon", "20"],
+            {"convergence_steps_den": 1, "convergence_steps_num": 2, "convergence_tick": 2, "starting_time": 0, "step": 1},
+        ),
+        (
+            ["--protocol", "mdst", "--horizon", "40"],
+            {"convergence_steps_den": 1, "convergence_steps_num": 2, "convergence_tick": 3, "starting_time": 1, "step": 1},
+        ),
+    ],
+)
+def test_simulate_metrics_report(g1_file, capsys, argv, report):
+    assert main(["simulate", g1_file, *argv, "--metrics"]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1]) == report
+
+
 def test_simulate_mdst(g1_file, capsys):
     code = main(["simulate", g1_file, "--protocol", "mdst", "--horizon", "40"])
     assert code == 0

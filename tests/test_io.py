@@ -53,6 +53,41 @@ def test_parse_graph_text_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+# Mostly well-formed lines, so that most examples get past the first line.
+FUZZ_GOOD_IDS = st.sampled_from(["a", "b", "c_1"])
+FUZZ_ANY_IDS = st.sampled_from(["a", "b", "c_1", "a-b", "\u0661", "a\x0bb", ""])
+FUZZ_JUNK = st.one_of(
+    st.sampled_from(["", "  ", "# note", "vertices:", "edge:", "what: ever", "\r"]),
+    st.text(max_size=8),
+)
+FUZZ_GRAPH_TEXT = st.builds(
+    lambda head, edges, tail: "\n".join([head, *edges, *tail]),
+    st.one_of(
+        st.lists(FUZZ_GOOD_IDS, min_size=1, unique=True).map(lambda ids: "vertices: " + ", ".join(ids)),
+        st.lists(FUZZ_ANY_IDS, max_size=4).map(lambda ids: "vertices: " + ", ".join(ids)),
+        FUZZ_JUNK,
+    ),
+    st.lists(
+        st.one_of(st.lists(FUZZ_GOOD_IDS, min_size=2, max_size=2), st.lists(FUZZ_ANY_IDS, max_size=3)).map(
+            lambda ids: "edge: " + " ".join(ids)
+        ),
+        max_size=5,
+    ),
+    st.lists(FUZZ_JUNK, max_size=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), FUZZ_GRAPH_TEXT))
+def test_parse_graph_text_fuzz(text):
+    # Any text either loads or raises ParseError; nothing else escapes.
+    try:
+        g = parse_graph_text(text)
+    except ParseError:
+        return
+    assert isinstance(g, StaticGraph)
+
+
 def test_graph_file_roundtrip(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(GOOD_GRAPH)
@@ -87,6 +122,7 @@ def test_scenario_dict_shape():
         (lambda d: d.pop("vertices"), "vertices"),
         (lambda d: d.update(vertices=["a", "a"]), "duplicate"),
         (lambda d: d.update(vertices=["a!", "b"]), "invalid vertex"),
+        (lambda d: d.update(vertices=["p0\n", "p1", "p2", "p3"]), "identifier"),
         (lambda d: d.pop("edges"), "edges"),
         (lambda d: d["edges"][0].update(u="nope"), "declared vertices"),
         (lambda d: d["edges"][0].update(latency=0), "latency"),

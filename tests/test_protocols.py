@@ -1,9 +1,13 @@
+import argparse
+
 import pytest
 
-from tvgsim.engine import OUTPUT_CHANGED, run
+from tvgsim.cli import build_parser
+from tvgsim.engine import OUTPUT_CHANGED, Protocol, run
 from tvgsim.errors import DomainError
 from tvgsim.graphs import StaticGraph, find_smds
 from tvgsim.protocols import (
+    PROTOCOLS,
     FloodProtocol,
     MdstProtocol,
     UgProtocol,
@@ -32,6 +36,16 @@ def test_get_protocol():
         get_protocol("flood")
     with pytest.raises(DomainError):
         get_protocol("nope")
+
+
+def test_registry_feeds_cli_and_owns_problem_semantics():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    protocol_arg = next(a for a in commands.choices["simulate"]._actions if a.dest == "protocol")
+    assert protocol_arg.choices == sorted(PROTOCOLS)
+    for name, cls in PROTOCOLS.items():
+        assert cls.name == name
+        assert cls.converged is not Protocol.converged
+        assert cls.nps is not Protocol.nps
 
 
 @pytest.mark.parametrize("name,size", [("path", 5), ("cycle", 6), ("star", 5), ("complete", 4)])

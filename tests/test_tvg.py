@@ -158,6 +158,25 @@ def test_tvg_validation():
         Tvg(g, {("a", "b"): ALWAYS}, {("a", "b"): 1}, process_latency=-1)
 
 
+@pytest.mark.parametrize(
+    "intervals,tail",
+    [
+        (((0, 5), (3, 8)), None),  # overlapping
+        (((0, 3), (3, 5)), None),  # touching
+        (((4, 6), (0, 2)), None),  # unsorted
+        (((3, 3),), None),  # empty
+        (((-1, 2),), None),  # negative start
+        (((0, 5),), PeriodicTail(5, 3, 2)),  # touches the tail
+        (((0, 6),), PeriodicTail(4, 3, 2)),  # overlaps the tail
+        ((), PeriodicTail(2, 4, 4)),  # contiguous tail not stored as (offset, 1, 1)
+    ],
+)
+def test_tvg_rejects_unnormalized_schedule(intervals, tail):
+    with pytest.raises(DomainError) as exc:
+        _two_vertex(PresenceSchedule(intervals, tail))
+    assert "normal form" in str(exc.value)
+
+
 def test_underlying_graphs():
     g1 = generate_gk(1)
     assert underlying_graph(g1).edges == frozenset(
