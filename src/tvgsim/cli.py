@@ -67,6 +67,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     tvg = io.load_scenario(args.scenario)
+    # The problem is read off the registered class: the protocol object may
+    # be a wrapper that forwards only the handlers.
+    problem = PROTOCOLS[args.protocol]
+    problem.check(tvg, args.origin)
     protocol = get_protocol(args.protocol, origin=args.origin)
     trace = run(tvg, protocol, args.horizon)
     if args.trace:
@@ -74,9 +78,6 @@ def cmd_simulate(args) -> int:
             fh.write(trace.serialize())
     for v in sorted(trace.formatted_finals, key=vertex_key):
         print(f"{v} {trace.formatted_finals[v]}")
-    # The problem is read off the registered class: the protocol object may
-    # be a wrapper that forwards only the handlers.
-    problem = PROTOCOLS[args.protocol]
     if not problem.converged(tvg, trace.final_outputs):
         raise NotConvergedError("not converged within horizon")
     if args.metrics:
@@ -187,9 +188,12 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "simulate" and args.protocol == "flood" and not args.origin:
-        print("error: --origin is required with --protocol flood", file=sys.stderr)
-        return EXIT_USAGE
+    if args.command == "simulate":
+        takes_origin = PROTOCOLS[args.protocol].takes_origin
+        if takes_origin and not args.origin or not takes_origin and args.origin is not None:
+            need = "required" if takes_origin else "not accepted"
+            print(f"error: --origin is {need} with --protocol {args.protocol}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except (ParseError, FileNotFoundError) as exc:

@@ -113,6 +113,8 @@ class Protocol:
     and return (new_state, sends) where sends is a list of (dest, payload)."""
 
     name = "protocol"
+    # Whether the protocol is built with an origin vertex: ``cls(origin)``.
+    takes_origin = False
 
     def initial_state(self, vertex: VertexId):
         raise NotImplementedError
@@ -144,6 +146,11 @@ class Protocol:
     def nps(graph: StaticGraph, origin: Optional[VertexId]):
         """The problem's necessary-presence-set family on the underlying graph."""
         raise NotImplementedError
+
+    @staticmethod
+    def check(tvg: Tvg, origin: Optional[VertexId]) -> None:
+        """Raise a ``DomainError`` when the protocol cannot run on ``tvg`` from
+        ``origin``; called before the run starts.  Accepts everything here."""
 
 
 def _is_noop(protocol, handler: str) -> bool:

@@ -3,6 +3,16 @@
 Vertices are opaque string identifiers ordered by (length, byte value), which
 gives a strict total order over ids matching ``[A-Za-z0-9_]+``.  Edges are
 canonical ordered pairs (smaller endpoint first).
+
+Caching.  A ``StaticGraph`` computes its adjacency once, on first use, and
+every query on it (``neighbors``, ``component_of``, ``is_connected``,
+``diameter``, ``is_dominating``, the dominating-set scan) reads that one
+mapping; ``component_of`` returns the graph itself when it is connected.
+Values derived from a whole graph are memoized by ``bounded_cache``: an LRU
+cache of at most ``CACHE_MAXSIZE`` entries, keyed by the graph.  Here these
+are the minimal-dominating-set scan and the strong-set search; the
+dominating-set protocol's decision uses the same decorator.  ``cache_stats``
+reports the hits, misses and sizes of every such cache.
 """
 
 from __future__ import annotations
@@ -10,8 +20,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .errors import CapacityError, DomainError
 
@@ -21,6 +31,33 @@ Edge = Tuple[VertexId, VertexId]
 # Exponential oracles are for desk-scale verification only.
 SUBGRAPH_EDGE_CAP = 16
 SUBSET_VERTEX_CAP = 12
+# Entries per memo.  A `simulate` benchmark pass fills the largest with about
+# 300; a longer mdst run evicts the least recently used.
+CACHE_MAXSIZE = 1024
+
+_CACHES = {}
+
+
+def bounded_cache(fn):
+    """``fn`` memoized in an LRU cache of at most ``CACHE_MAXSIZE`` entries,
+    listed by ``cache_stats`` and emptied by ``clear_caches``."""
+    cached = lru_cache(maxsize=CACHE_MAXSIZE)(fn)
+    _CACHES[fn.__name__] = cached
+    return cached
+
+
+def cache_stats():
+    """``{name: (hits, misses, currsize, maxsize)}`` for every bounded cache."""
+    stats = {}
+    for name, c in _CACHES.items():
+        info = c.cache_info()
+        stats[name] = (info.hits, info.misses, info.currsize, info.maxsize)
+    return stats
+
+
+def clear_caches():
+    for c in _CACHES.values():
+        c.cache_clear()
 
 
 def vertex_key(v: VertexId):
@@ -58,10 +95,21 @@ class StaticGraph:
         # edge_key flattened into one tuple: the same order, one key call per edge.
         return sorted(self.edges, key=lambda e: (len(e[0]), e[0], len(e[1]), e[1]))
 
+    @cached_property
+    def adjacency(self) -> Dict[VertexId, Tuple[VertexId, ...]]:
+        """Vertex -> its neighbours, built once per graph (the frozen
+        dataclass has no slots, so the value lands in the instance dict).
+        Tuples, not sets: a cached graph keeps its adjacency alive."""
+        adj = {v: [] for v in self.vertices}
+        for (u, v) in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return {v: tuple(ns) for v, ns in adj.items()}
+
     def neighbors(self, v: VertexId) -> set:
         if v not in self.vertices:
             raise DomainError(f"unknown vertex {v!r}")
-        return {u if w == v else w for (u, w) in self.edges if v in (u, w)}
+        return set(self.adjacency[v])
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         return make_edge(u, v) in self.edges
@@ -81,25 +129,21 @@ class StaticGraph:
         return StaticGraph(self.vertices, es)
 
     def component_of(self, v: VertexId) -> "StaticGraph":
-        """Induced subgraph on the connected component containing v."""
+        """Induced subgraph on the connected component containing v; the
+        graph itself when it is connected."""
         if v not in self.vertices:
             raise DomainError(f"unknown vertex {v!r}")
-        seen = _bfs_distances(self._adjacency(), v)
+        seen = _bfs_distances(self.adjacency, v)
+        if len(seen) == len(self.vertices):
+            return self
         es = frozenset(e for e in self.edges if e[0] in seen and e[1] in seen)
         return StaticGraph(frozenset(seen), es)
-
-    def _adjacency(self):
-        adj = {v: set() for v in self.vertices}
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
 
 def is_connected(g: StaticGraph) -> bool:
     if not g.vertices:
         raise DomainError("connectivity is undefined on an empty vertex set")
-    return len(_bfs_distances(g._adjacency(), next(iter(g.vertices)))) == len(g.vertices)
+    return len(_bfs_distances(g.adjacency, next(iter(g.vertices)))) == len(g.vertices)
 
 
 def _bfs_distances(adj, source):
@@ -119,7 +163,7 @@ def _bfs_distances(adj, source):
 def diameter(g: StaticGraph) -> int:
     if not is_connected(g):
         raise DomainError("diameter is undefined on a disconnected graph")
-    adj = g._adjacency()
+    adj = g.adjacency
     best = 0
     for v in g.vertices:
         dist = _bfs_distances(adj, v)
@@ -142,8 +186,8 @@ def is_dominating(g: StaticGraph, m: Iterable[VertexId]) -> bool:
     extra = ms - g.vertices
     if extra:
         raise DomainError(f"dominating-set candidate contains unknown vertices: {sorted(extra, key=vertex_key)}")
-    adj = g._adjacency()
-    return all(v in ms or adj[v] & ms for v in g.vertices)
+    adj = g.adjacency
+    return all(v in ms or not ms.isdisjoint(adj[v]) for v in g.vertices)
 
 
 def is_minimal_dominating(g: StaticGraph, m: Iterable[VertexId]) -> bool:
@@ -155,7 +199,7 @@ def is_minimal_dominating(g: StaticGraph, m: Iterable[VertexId]) -> bool:
     return all(not is_dominating(g, ms - {v}) for v in ms)
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def _enumerate_mds_cached(g: StaticGraph) -> Tuple[FrozenSet[VertexId], ...]:
     verts = g.sorted_vertices()
     n = len(verts)
@@ -163,7 +207,7 @@ def _enumerate_mds_cached(g: StaticGraph) -> Tuple[FrozenSet[VertexId], ...]:
     closed = []
     for i, v in enumerate(verts):
         mask = 1 << i
-        for u in g.neighbors(v):
+        for u in g.adjacency[v]:
             mask |= 1 << index[u]
         closed.append(mask)
     full = (1 << n) - 1
@@ -253,7 +297,7 @@ def _first_witness(g: StaticGraph, ms: FrozenSet[VertexId]) -> Optional[VertexId
     return None
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def _find_smds_cached(g: StaticGraph) -> Optional[FrozenSet[VertexId]]:
     for candidate in _enumerate_mds_cached(g):
         if is_smds_via_cutsets(g, candidate):

@@ -6,8 +6,10 @@ growth is propagated (full graph, not deltas) to every neighbor seen so far.
 
 Each protocol class also states the problem it solves: ``converged`` decides
 whether final outputs solve it on a scenario, and ``nps`` gives its family of
-necessary presence sets.  Both are static, so the CLI reads them off the class
-registered in ``PROTOCOLS`` rather than off the instance it runs.
+necessary presence sets.  It states what a run needs, too: ``takes_origin``
+and ``check``, which rejects a scenario or origin before the run starts.  All
+are static, so the CLI reads them off the class registered in ``PROTOCOLS``
+rather than off the instance it runs.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .engine import Protocol
 from .graphs import (
+    SUBSET_VERTEX_CAP,
     Edge,
     StaticGraph,
     VertexId,
+    bounded_cache,
     enumerate_minimal_dominating_sets,
     find_smds,
     is_minimal_dominating,
@@ -109,14 +113,20 @@ def mdst_chosen_set(local_graph: StaticGraph, status: Dict[Edge, EdgeStatus], se
     falls back to the first canonical minimal dominating set of its best
     estimate of the edges that keep reappearing, i.e. the footprint minus
     edges last seen down."""
+    down = frozenset(e for e, (_, up) in status.items() if not up)
+    return _mdst_decision(local_graph, down, self_v)
+
+
+@bounded_cache
+def _mdst_decision(local_graph: StaticGraph, down: FrozenSet[Edge], self_v: VertexId) -> FrozenSet[VertexId]:
+    # Pure in its arguments; the kernel is called through module globals so
+    # that a rebinding of them (a profiler's, say) sees every miss.
     comp = local_graph.component_of(self_v)
     chosen = find_smds(comp)
     if chosen is not None:
         return chosen
-    down = {e for e, (_, up) in status.items() if not up}
     est = StaticGraph(comp.vertices, comp.edges - down)
-    comp2 = est.component_of(self_v)
-    return enumerate_minimal_dominating_sets(comp2)[0]
+    return enumerate_minimal_dominating_sets(est.component_of(self_v))[0]
 
 
 def _merge_status(mine: Dict[Edge, EdgeStatus], theirs: Dict[Edge, EdgeStatus]) -> Dict[Edge, EdgeStatus]:
@@ -139,7 +149,7 @@ class MdstProtocol(UgProtocol):
         """Recompute membership; send (graph, status) to every known
         neighbor not in ``skip``."""
         chosen = mdst_chosen_set(state.ug.local_graph, state.edge_status, vertex)
-        state = replace(state, in_mdst=vertex in chosen)
+        state = MdstState(state.ug, state.edge_status, vertex in chosen)
         payload = (state.ug.local_graph, state.edge_status)
         return state, [(r, payload) for r in sorted(state.ug.known_neighbors - skip, key=vertex_key)]
 
@@ -172,6 +182,22 @@ class MdstProtocol(UgProtocol):
         return bool_to_str(value)
 
     @staticmethod
+    def check(tvg, origin):
+        # Every decision scans the subsets of a component of the footprint.
+        g = tvg.graph
+        seen = set()
+        for v in g.sorted_vertices():
+            if v in seen:
+                continue
+            comp = g.component_of(v).vertices
+            if len(comp) > SUBSET_VERTEX_CAP:
+                raise CapacityError(
+                    f"subset scan capped at {SUBSET_VERTEX_CAP} vertices, "
+                    f"got a component of {len(comp)}"
+                )
+            seen |= comp
+
+    @staticmethod
     def converged(tvg, outputs):
         # The final true-set must dominate minimally on the eventual
         # underlying graph.
@@ -190,6 +216,7 @@ class FloodProtocol(Protocol):
     """Minimal flooding broadcast from a designated origin."""
 
     name = "flood"
+    takes_origin = True
 
     def __init__(self, origin: VertexId):
         self.origin = origin
@@ -221,6 +248,11 @@ class FloodProtocol(Protocol):
         return bool_to_str(value)
 
     @staticmethod
+    def check(tvg, origin):
+        if origin not in tvg.graph.vertices:
+            raise DomainError(f"origin {origin!r} is not a vertex of the scenario")
+
+    @staticmethod
     def converged(tvg, outputs):
         return all(outputs.values())
 
@@ -235,8 +267,9 @@ PROTOCOLS = {cls.name: cls for cls in (UgProtocol, MdstProtocol, FloodProtocol)}
 def get_protocol(name: str, origin: Optional[VertexId] = None) -> Protocol:
     if name not in PROTOCOLS:
         raise DomainError(f"unknown protocol {name!r}")
-    if PROTOCOLS[name] is not FloodProtocol:
-        return PROTOCOLS[name]()
+    cls = PROTOCOLS[name]
+    if not cls.takes_origin:
+        return cls()
     if origin is None:
-        raise DomainError("flood protocol requires an origin vertex")
-    return FloodProtocol(origin)
+        raise DomainError(f"{name} protocol requires an origin vertex")
+    return cls(origin)

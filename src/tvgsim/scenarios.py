@@ -19,7 +19,6 @@ from .graphs import (
     edge_key,
     find_smds,
     is_connected,
-    is_cut_set,
     make_edge,
     smds_witness,
     vertex_key,
@@ -72,7 +71,36 @@ def named_graph(name: str, size: int, seed: int = 0) -> StaticGraph:
 
 
 def _bridges(g: StaticGraph) -> set:
-    return {e for e in g.edges if is_cut_set(g, {e})}
+    """Edges whose removal disconnects their component, by Tarjan's low-link
+    search in O(V + E).  The depth-first search keeps its own stack, so its
+    depth is not bounded by the recursion limit."""
+    adj = g.adjacency
+    order: Dict[VertexId, int] = {}  # discovery index
+    low: Dict[VertexId, int] = {}  # least index reachable through one back edge
+    bridges = set()
+    for root in g.vertices:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, parent, todo = stack[-1]
+            for w in todo:
+                if w == parent:  # a simple graph has one edge to the parent
+                    continue
+                if w in order:
+                    low[v] = min(low[v], order[w])
+                else:
+                    order[w] = low[w] = len(order)
+                    stack.append((w, v, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > order[parent]:
+                        bridges.add(make_edge(parent, v))
+    return bridges
 
 
 def generate_random_cot(

@@ -108,6 +108,39 @@ def test_simulate_flood_requires_origin(g1_file):
     assert main(["simulate", g1_file, "--protocol", "flood", "--horizon", "10"]) == 1
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    from tvgsim import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run should not start")
+
+    monkeypatch.setattr(cli, "run", refuse)
+
+
+def test_simulate_flood_unknown_origin_fails_before_run(g1_file, capsys, no_run):
+    assert main(["simulate", g1_file, "--protocol", "flood", "--origin", "zz", "--horizon", "20"]) == 2
+    assert "'zz'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["ug", "mdst"])
+def test_simulate_origin_only_with_flood(g1_file, capsys, no_run, protocol):
+    argv = ["simulate", g1_file, "--protocol", protocol, "--origin", "p0", "--horizon", "20"]
+    assert main(argv) == 1
+    assert "--origin is not accepted" in capsys.readouterr().err
+
+
+def test_simulate_mdst_capacity_fails_before_run(tmp_path, capsys, no_run):
+    g = named_graph("path", 13)
+    scenario = tmp_path / "p13.json"
+    save_scenario(Tvg(g, {e: ALWAYS for e in g.edges}, {e: 1 for e in g.edges}), str(scenario))
+    trace = tmp_path / "p13.trace"
+    argv = ["simulate", str(scenario), "--protocol", "mdst", "--horizon", "40", "--trace", str(trace)]
+    assert main(argv) == 2
+    assert "capped at 12 vertices" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_simulate_flood(g1_file, capsys):
     code = main(
         ["simulate", g1_file, "--protocol", "flood", "--horizon", "20", "--origin", "p0", "--metrics"]

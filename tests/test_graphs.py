@@ -73,6 +73,38 @@ def test_component_of():
     assert comp.edges == frozenset({("a", "b")})
 
 
+small_graphs = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs)
+def test_cached_adjacency_matches_edge_scan_and_networkx(graph):
+    n, pairs = graph
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(pairs)
+    g = nx_to_static(nxg)
+    for v in g.vertices:
+        # The O(E) scan that the cached adjacency replaces.
+        assert g.neighbors(v) == {u if w == v else w for (u, w) in g.edges if v in (u, w)}
+        comp = g.component_of(v)
+        expected = nx.node_connected_component(nxg, int(v[1:]))
+        assert comp.vertices == frozenset(f"q{i}" for i in expected)
+        assert comp.edges == frozenset(e for e in g.edges if e[0] in comp.vertices)
+        assert (comp is g) == nx.is_connected(nxg)
+
+
+def test_neighbors_returns_a_fresh_set():
+    g = named_graph("path", 3)
+    g.neighbors("p2").add("zz")
+    assert g.neighbors("p2") == {"p1", "p3"}
+
+
 def test_connectivity_and_diameter_fixtures():
     assert is_connected(named_graph("path", 5))
     assert not is_connected(StaticGraph.of(["a", "b"], []))

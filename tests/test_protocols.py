@@ -1,11 +1,21 @@
 import argparse
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvgsim.cli import build_parser
 from tvgsim.engine import OUTPUT_CHANGED, Protocol, run
 from tvgsim.errors import DomainError
-from tvgsim.graphs import StaticGraph, find_smds
+from tvgsim.graphs import (
+    StaticGraph,
+    cache_stats,
+    clear_caches,
+    find_smds,
+    is_minimal_dominating,
+    is_smds_via_cutsets,
+)
 from tvgsim.protocols import (
     PROTOCOLS,
     FloodProtocol,
@@ -15,7 +25,7 @@ from tvgsim.protocols import (
     graph_to_str,
     mdst_chosen_set,
 )
-from tvgsim.scenarios import ALWAYS, generate_gk, named_graph
+from tvgsim.scenarios import ALWAYS, generate_gk, generate_random_cot, named_graph
 from tvgsim.tvg import Tvg, underlying_graph
 
 
@@ -97,6 +107,75 @@ def test_mdst_chosen_set_respects_down_status():
     est = StaticGraph(g.vertices, g.edges - {("p1", "p2")})
     # the estimate is a tree, where the first minimal dominating set is strong
     assert chosen == find_smds(est)
+
+
+def _component(g, v):
+    """v's component, grown by whole-edge-set scans."""
+    seen = {v}
+    while True:
+        more = {x for e in g.edges if seen & set(e) for x in e} - seen
+        if not more:
+            return StaticGraph(frozenset(seen), frozenset(e for e in g.edges if e[0] in seen))
+        seen |= more
+
+
+def _mds_in_order(g):
+    verts = g.sorted_vertices()
+    for size in range(1, len(verts) + 1):
+        for combo in itertools.combinations(verts, size):
+            if is_minimal_dominating(g, combo):
+                yield frozenset(combo)
+
+
+def _chosen_set_uncached(g, status, v):
+    """The decision recomputed from scratch with no cache: a strong set of
+    v's component if there is one, else the first minimal dominating set of
+    v's component once the edges last seen down are dropped."""
+    comp = _component(g, v)
+    for m in _mds_in_order(comp):
+        if is_smds_via_cutsets(comp, m):
+            return m
+    down = {e for e, (_, up) in status.items() if not up}
+    return next(_mds_in_order(_component(StaticGraph(comp.vertices, comp.edges - down), v)))
+
+
+local_views = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just([f"p{i}" for i in range(1, n + 1)]),
+        st.sets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1])),
+        st.lists(st.tuples(st.integers(1, 9), st.booleans()), max_size=21),
+        st.integers(1, n),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_views)
+def test_memoized_chosen_set_matches_uncached_recomputation(view):
+    verts, pairs, counts, who = view
+    g = StaticGraph.of(verts, [(f"p{a}", f"p{b}") for (a, b) in pairs])
+    # Status for a prefix of the edges: some up, some down, some never seen.
+    status = dict(zip(g.sorted_edges(), counts))
+    v = f"p{who}"
+    expected = _chosen_set_uncached(g, status, v)
+    assert mdst_chosen_set(g, status, v) == expected
+    assert mdst_chosen_set(g, dict(status), v) == expected  # a cache hit
+
+
+def test_cache_stats_repeat_and_stay_bounded():
+    # A tree whose edges keep going down and up: the decision repeats.
+    tvg = generate_random_cot(8, 0.0, 0.0, 32, 1)
+    stats = []
+    for _ in range(2):
+        clear_caches()
+        run(tvg, MdstProtocol(), 200)
+        stats.append(cache_stats())
+    assert stats[0] == stats[1]
+    assert set(stats[0]) == {"_enumerate_mds_cached", "_find_smds_cached", "_mdst_decision"}
+    for hits, misses, currsize, maxsize in stats[0].values():
+        assert maxsize is not None and currsize <= maxsize
+        assert misses > 0
+    assert stats[0]["_mdst_decision"][0] > 0
 
 
 def test_flood_informs_everyone():

@@ -1,8 +1,10 @@
+import networkx as nx
 import pytest
 
 from tvgsim.errors import DomainError, GenerationError
-from tvgsim.graphs import is_connected
+from tvgsim.graphs import is_connected, make_edge
 from tvgsim.scenarios import (
+    _bridges,
     adversary_destabilize,
     generate_gk,
     generate_random_cot,
@@ -74,6 +76,26 @@ def test_random_cot_properties():
                 assert tail.duration >= tvg.latency[e]
         # every edge first appears within the requested span
         assert all(s.first_appearance() < 32 for s in tvg.schedule.values())
+
+
+def _nx_bridges(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from(g.edges)
+    return {make_edge(u, v) for (u, v) in nx.bridges(nxg)}
+
+
+def test_bridges_match_networkx():
+    for seed in range(30):
+        for n, extra in ((6, 0.3), (12, 0.1), (20, 0.05)):
+            g = generate_random_cot(n, extra, 0.0, 32, seed).graph
+            assert _bridges(g) == _nx_bridges(g)
+        tree = named_graph("tree_random", 15, seed)
+        assert _bridges(tree) == tree.edges
+    assert _bridges(named_graph("cycle", 6)) == set()
+    # Deeper than the recursion limit: the search keeps its own stack.
+    path = named_graph("path", 5000)
+    assert _bridges(path) == path.edges
 
 
 def test_random_cot_raises_when_not_connected_over_time(monkeypatch):
