@@ -82,7 +82,6 @@ class Trace:
     events: List[TraceEvent]
     initial_outputs: Dict[VertexId, Any]
     final_outputs: Dict[VertexId, Any]
-    final_states: Dict[VertexId, Any]
     horizon: Tick
     formatted_finals: Dict[VertexId, str]
 
@@ -283,7 +282,6 @@ def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:
         events=events,
         initial_outputs=initial_outputs,
         final_outputs=dict(current_output),
-        final_states=states,
         horizon=horizon,
         formatted_finals=formatted,
     )

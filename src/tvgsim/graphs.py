@@ -233,28 +233,26 @@ def _enumerate_mds_cached(g: StaticGraph) -> Tuple[FrozenSet[VertexId], ...]:
     return tuple(result)
 
 
-def enumerate_minimal_dominating_sets(g: StaticGraph, max_vertices: int = SUBSET_VERTEX_CAP):
+def enumerate_minimal_dominating_sets(g: StaticGraph):
     """All minimal dominating sets, ordered by cardinality then lexicographically
     on the sorted identifier lists."""
     if not g.vertices:
         raise DomainError("no dominating sets on an empty vertex set")
-    if len(g.vertices) > max_vertices:
+    if len(g.vertices) > SUBSET_VERTEX_CAP:
         raise CapacityError(
-            f"subset scan capped at {max_vertices} vertices, got {len(g.vertices)}"
+            f"subset scan capped at {SUBSET_VERTEX_CAP} vertices, got {len(g.vertices)}"
         )
     return list(_enumerate_mds_cached(g))
 
 
-def enumerate_connected_spanning_subgraphs(
-    g: StaticGraph, max_edges: int = SUBGRAPH_EDGE_CAP
-) -> Iterator[StaticGraph]:
+def enumerate_connected_spanning_subgraphs(g: StaticGraph) -> Iterator[StaticGraph]:
     """Every spanning subgraph (V, E') with E' subset of E connected on all of V."""
     if not is_connected(g):
         raise DomainError("spanning subgraphs require a connected graph")
     edges = g.sorted_edges()
-    if len(edges) > max_edges:
+    if len(edges) > SUBGRAPH_EDGE_CAP:
         raise CapacityError(
-            f"spanning-subgraph enumeration capped at {max_edges} edges, got {len(edges)}"
+            f"spanning-subgraph enumeration capped at {SUBGRAPH_EDGE_CAP} edges, got {len(edges)}"
         )
     n = len(g.vertices)
     for size in range(max(n - 1, 0), len(edges) + 1):
@@ -264,12 +262,9 @@ def enumerate_connected_spanning_subgraphs(
                 yield sub
 
 
-def is_smds_bruteforce(g: StaticGraph, m: Iterable[VertexId], max_edges: int = SUBGRAPH_EDGE_CAP) -> bool:
+def is_smds_bruteforce(g: StaticGraph, m: Iterable[VertexId]) -> bool:
     ms = frozenset(m)
-    return all(
-        is_minimal_dominating(sub, ms)
-        for sub in enumerate_connected_spanning_subgraphs(g, max_edges)
-    )
+    return all(is_minimal_dominating(sub, ms) for sub in enumerate_connected_spanning_subgraphs(g))
 
 
 def is_smds_via_cutsets(g: StaticGraph, m: Iterable[VertexId]) -> bool:
@@ -305,13 +300,13 @@ def _find_smds_cached(g: StaticGraph) -> Optional[FrozenSet[VertexId]]:
     return None
 
 
-def find_smds(g: StaticGraph, max_vertices: int = SUBSET_VERTEX_CAP) -> Optional[FrozenSet[VertexId]]:
+def find_smds(g: StaticGraph) -> Optional[FrozenSet[VertexId]]:
     """First minimal dominating set (in canonical order) passing the cut-set
     characterization, or None when the graph admits no such set."""
     if not is_connected(g):
         raise DomainError("strong-MDS search requires a connected graph")
-    if len(g.vertices) > max_vertices:
+    if len(g.vertices) > SUBSET_VERTEX_CAP:
         raise CapacityError(
-            f"subset scan capped at {max_vertices} vertices, got {len(g.vertices)}"
+            f"subset scan capped at {SUBSET_VERTEX_CAP} vertices, got {len(g.vertices)}"
         )
     return _find_smds_cached(g)

@@ -124,8 +124,6 @@ def tvg_from_dict(obj: dict) -> Tvg:
                 or type(pair[1]) is not int
             ):
                 raise ParseError(f"{where}: interval {pair!r} must be a pair of integers")
-            if pair[0] < 0 or pair[1] <= pair[0]:
-                raise ParseError(f"{where}: interval {pair!r} must satisfy 0 <= start < end")
             parsed.append((pair[0], pair[1]))
         tail: Optional[PeriodicTail] = None
         periodic = entry.get("periodic")

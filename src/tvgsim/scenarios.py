@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .engine import OUTPUT_CHANGED, Trace, run
 from .errors import DomainError, GenerationError
@@ -210,18 +210,16 @@ def _stabilize(tvg: Tvg, after: Tick, quiet: Tick) -> Tuple[FrozenSet[VertexId],
     raise GenerationError("dominating-set output did not stabilize within the search horizon")
 
 
-def adversary_destabilize(
-    underlying: StaticGraph,
-    max_rounds: int,
-    quiet_window: Optional[Tick] = None,
-) -> Tuple[Tvg, InstabilityReport]:
+def adversary_destabilize(underlying: StaticGraph, max_rounds: int) -> Tuple[Tvg, InstabilityReport]:
     """Adaptively extend an all-edges-present schedule so that the shipped
     dominating-set protocol changes its stabilized output every round."""
+    if max_rounds < 0:
+        raise DomainError(f"round count must be non-negative, got {max_rounds}")
     if not is_connected(underlying):
         raise DomainError("adversary requires a connected underlying graph")
     if find_smds(underlying) is not None:
         raise DomainError("graph admits a strong minimal dominating set; adversary inapplicable")
-    quiet = quiet_window if quiet_window is not None else 2 * diameter(underlying)
+    quiet = 2 * diameter(underlying)
 
     tvg = Tvg(
         underlying,

@@ -5,6 +5,11 @@ half-open intervals [start, end); an optional periodic tail makes an edge
 recurrent (present during [offset + i*period, offset + i*period + duration)
 for every i >= 0).  A contiguous tail (duration == period) is normalized to
 period = duration = 1 and represents "present forever from offset".
+
+``PresenceSchedule.of`` builds the normal form and the constructor rejects
+any other, so a schedule that exists is normal.  ``occurrences(after)`` is
+the one reader of that form: presence, windows, first appearances, masks
+and snapshots are all short walks over the maximal occurrences it yields.
 """
 
 from __future__ import annotations
@@ -37,8 +42,24 @@ class PeriodicTail:
 
 @dataclass(frozen=True)
 class PresenceSchedule:
+    """Presence of one edge, in the normal form ``of`` builds: sorted,
+    non-empty intervals that neither overlap nor touch, a tail that starts
+    after the last of them, and a contiguous tail stored as (offset, 1, 1).
+    Any other form is rejected here; the engine and the journey search rely
+    on it."""
+
     intervals: Tuple[Tuple[Tick, Tick], ...] = ()
     tail: Optional[PeriodicTail] = None
+
+    def __post_init__(self):
+        last = -1
+        for (s, e) in self.intervals:
+            if not last < s < e:
+                raise DomainError("schedule not in normal form; build it with PresenceSchedule.of")
+            last = e
+        tail = self.tail
+        if tail is not None and (tail.offset <= last or tail.duration == tail.period != 1):
+            raise DomainError("schedule not in normal form; build it with PresenceSchedule.of")
 
     @staticmethod
     def of(intervals, tail: Optional[PeriodicTail] = None) -> "PresenceSchedule":
@@ -78,114 +99,67 @@ class PresenceSchedule:
     def is_empty(self) -> bool:
         return not self.intervals and self.tail is None
 
-    def first_appearance(self) -> Tick:
-        if self.intervals:
-            return self.intervals[0][0]
-        if self.tail is not None:
-            return self.tail.offset
-        raise DomainError("empty schedule has no first appearance")
-
-    def present_at(self, t: Tick) -> bool:
+    def occurrences(self, after: Tick = 0) -> Iterator[Interval]:
+        """The maximal presence intervals that end after ``after``, in order;
+        the last may be unbounded (end None).  Infinite for a non-contiguous
+        tail, whose first such occurrence is found by arithmetic."""
         for (s, e) in self.intervals:
-            if s <= t < e:
-                return True
-        tail = self.tail
-        if tail is not None and t >= tail.offset:
-            return (t - tail.offset) % tail.period < tail.duration
-        return False
-
-    def earliest_window(self, t: Tick, duration: Tick) -> Optional[Tick]:
-        """Smallest t' >= t such that the schedule is present at t' and, when
-        duration >= 1, throughout the half-open window [t', t' + duration)."""
-        t = max(t, 0)
-
-        def fits(c: Tick, e: Optional[Tick]) -> bool:
-            if e is None:
-                return True
-            return c < e if duration == 0 else c + duration <= e
-
-        for (s, e) in self.intervals:
-            c = max(s, t)
-            if fits(c, e):
-                return c
-        tail = self.tail
-        if tail is None:
-            return None
-        if tail.duration == tail.period:
-            return max(tail.offset, t)
-        i0 = max(0, (t - tail.offset) // tail.period)
-        for i in (i0, i0 + 1):
-            s = tail.offset + i * tail.period
-            c = max(s, t)
-            if fits(c, s + tail.duration):
-                return c
-        return None
-
-    def occurrences(self) -> Iterator[Interval]:
-        """All maximal presence intervals in order; the last one may be
-        unbounded (end None).  Infinite generator for a non-contiguous tail."""
-        for (s, e) in self.intervals:
-            yield (s, e)
+            if e > after:
+                yield (s, e)
         tail = self.tail
         if tail is None:
             return
         if tail.duration == tail.period:
             yield (tail.offset, None)
             return
-        i = 0
+        skip = max(0, (after - tail.offset - tail.duration) // tail.period + 1)
+        s = tail.offset + skip * tail.period
         while True:
-            s = tail.offset + i * tail.period
             yield (s, s + tail.duration)
-            i += 1
+            s += tail.period
 
-    def boundaries_before(self, horizon: Tick) -> List[Tick]:
-        out = []
-        for (s, e) in self.occurrences():
-            if s >= horizon:
-                break
-            out.append(s)
-            if e is not None and e < horizon:
-                out.append(e)
-        return out
+    def first_appearance(self) -> Tick:
+        for (s, _) in self.occurrences():
+            return s
+        raise DomainError("empty schedule has no first appearance")
+
+    def present_at(self, t: Tick) -> bool:
+        for (s, _) in self.occurrences(t):
+            return s <= t
+        return False
+
+    def earliest_window(self, t: Tick, duration: Tick) -> Optional[Tick]:
+        """Smallest t' >= t such that the schedule is present at t' and, when
+        duration >= 1, throughout the half-open window [t', t' + duration)."""
+        t = max(t, 0)
+        tail = self.tail
+        for (s, e) in self.occurrences(t):
+            c = max(s, t)  # c < e, as the occurrence ends after t
+            if e is None or c + duration <= e:
+                return c
+            if s >= t and tail is not None and s >= tail.offset:
+                return None  # every later tail occurrence is as short
+        return None
 
     def minus(self, start: Tick, end: Optional[Tick]) -> "PresenceSchedule":
         """Schedule with presence removed over [start, end); end None = forever."""
         if start < 0 or (end is not None and end <= start):
             raise DomainError(f"invalid mask interval [{start},{end})")
-        fin: List[Tuple[Tick, Tick]] = []
-
-        def subtract(s: Tick, e: Tick):
-            if e <= start or (end is not None and s >= end):
-                fin.append((s, e))
-                return
-            if s < start:
-                fin.append((s, start))
-            if end is not None and e > end:
-                fin.append((end, e))
-
-        for (s, e) in self.intervals:
-            subtract(s, e)
         tail = self.tail
         new_tail: Optional[PeriodicTail] = None
-        if tail is not None:
-            if tail.duration == tail.period:
-                o = tail.offset
-                if o < start:
-                    fin.append((o, start))
-                if end is not None:
-                    new_tail = PeriodicTail(max(o, end), 1, 1)
-            elif end is None:
-                o = tail.offset
-                while o < start:
-                    if min(o + tail.duration, start) > o:
-                        fin.append((o, min(o + tail.duration, start)))
-                    o += tail.period
-            else:
-                o = tail.offset
-                while o < end:
-                    subtract(o, o + tail.duration)
-                    o += tail.period
-                new_tail = PeriodicTail(o, tail.period, tail.duration)
+        if end is not None and tail is not None:
+            # The tail resumes unchanged at its first occurrence starting at
+            # or after end; for a contiguous tail that is max(offset, end).
+            skip = max(0, -(-(end - tail.offset) // tail.period))
+            new_tail = PeriodicTail(tail.offset + skip * tail.period, tail.period, tail.duration)
+        fin: List[Tuple[Tick, Tick]] = []
+        for (s, e) in self.occurrences():
+            if s >= start and (end is None or new_tail is not None and s >= new_tail.offset):
+                break
+            if s < start:
+                fin.append((s, start if e is None else min(e, start)))
+            if end is not None and e is not None and e > end:
+                fin.append((max(s, end), e))
         return PresenceSchedule.of(fin, new_tail)
 
 
@@ -209,17 +183,6 @@ class Tvg:
         for e, sched in self.schedule.items():
             if sched.is_empty:
                 raise DomainError(f"edge {e} has an empty schedule; drop it from the graph instead")
-            # Only the form PresenceSchedule.of produces: sorted, non-empty,
-            # non-touching intervals, a tail after them, a contiguous tail as
-            # (offset, 1, 1).  The engine and the journey search rely on it.
-            last = -1
-            for (s, end) in sched.intervals:
-                if not last < s < end:
-                    raise DomainError(f"edge {e} has a schedule not in normal form; build it with PresenceSchedule.of")
-                last = end
-            tail = sched.tail
-            if tail is not None and (tail.offset <= last or tail.duration == tail.period != 1):
-                raise DomainError(f"edge {e} has a schedule not in normal form; build it with PresenceSchedule.of")
         for e, z in self.latency.items():
             if z < 1:
                 raise DomainError(f"edge {e} has latency {z} < 1")
@@ -347,8 +310,13 @@ def snapshots(tvg: Tvg, horizon: Tick) -> List[Tuple[Tick, StaticGraph]]:
     if horizon <= 0:
         raise DomainError("horizon must be positive")
     ticks = {0}
-    for e in tvg.graph.edges:
-        ticks.update(tvg.schedule[e].boundaries_before(horizon))
+    for sched in tvg.schedule.values():
+        for (s, e) in sched.occurrences():
+            if s >= horizon:
+                break
+            ticks.add(s)
+            if e is not None and e < horizon:
+                ticks.add(e)
     out: List[Tuple[Tick, StaticGraph]] = []
     for t in sorted(ticks):
         present = frozenset(e for e in tvg.graph.edges if tvg.schedule[e].present_at(t))

@@ -214,6 +214,13 @@ def test_adversary_cli(c5_file, capsys):
     assert "witness d" in out
 
 
+def test_adversary_negative_rounds(c5_file, capsys):
+    assert main(["adversary", "--graph", c5_file, "--rounds", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "round count" in captured.err
+
+
 def test_adversary_inapplicable(tmp_path, capsys):
     path = tmp_path / "star.txt"
     path.write_text("vertices: a, b, c\nedge: a b\nedge: a c\n")

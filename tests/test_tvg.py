@@ -101,6 +101,16 @@ def test_present_at_matches_occurrences(intervals, tail, t):
     assert s.present_at(t) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(intervals_st, tail_st, st.integers(0, 100))
+def test_occurrences_after_matches_filtered_walk(intervals, tail, after):
+    # after runs past the largest tail offset (40), so the walk often has to
+    # jump into the tail rather than start at its first occurrence.
+    s = _schedule(intervals, tail)
+    walk = (occ for occ in s.occurrences() if occ[1] is None or occ[1] > after)
+    assert list(itertools.islice(s.occurrences(after), 12)) == list(itertools.islice(walk, 12))
+
+
 @settings(max_examples=150, deadline=None)
 @given(intervals_st, tail_st, st.integers(0, 60), st.integers(0, 5))
 def test_earliest_window_matches_scan(intervals, tail, t, duration):
