@@ -17,6 +17,14 @@ no-op on ``Protocol`` (``on_init``, ``on_edge_appear``, ``on_edge_disappear``)
 are never scheduled: they return the state unchanged and send nothing, so
 dropping them changes no output and keeps the order of everything else.
 Any other object passed as the protocol gets every callback.
+
+A ``Protocol`` subclass's ``check`` runs before the first event, on the
+scenario and the protocol's ``origin``; any other object is run unchecked.
+
+The trace is a list of ``TraceEvent`` records, one per event.  A record is a
+``NamedTuple``: immutable and hashable like a frozen dataclass, and about
+twice as cheap to build, which matters because a trace is recorded on every
+run.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
 from .graphs import Edge, StaticGraph, VertexId, make_edge, vertex_key
@@ -66,8 +74,7 @@ class Message:
     payload: Any
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time: Tick
     kind: str
     subject: Tuple[str, ...]
@@ -112,8 +119,10 @@ class Protocol:
     and return (new_state, sends) where sends is a list of (dest, payload)."""
 
     name = "protocol"
-    # Whether the protocol is built with an origin vertex: ``cls(origin)``.
+    # Whether the protocol is built with an origin vertex: ``cls(origin)``,
+    # which it keeps as ``origin``.
     takes_origin = False
+    origin: Optional[VertexId] = None
 
     def initial_state(self, vertex: VertexId):
         raise NotImplementedError
@@ -164,6 +173,8 @@ def _is_noop(protocol, handler: str) -> bool:
 def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:
     if horizon <= 0:
         raise DomainError("horizon must be positive")
+    if isinstance(protocol, Protocol):
+        type(protocol).check(tvg, protocol.origin)
     verts = tvg.graph.sorted_vertices()
     edges = tvg.graph.sorted_edges()
     # Heap keys: positions in the canonical vertex and edge orders.

@@ -10,9 +10,11 @@ every query on it (``neighbors``, ``component_of``, ``is_connected``,
 mapping; ``component_of`` returns the graph itself when it is connected.
 Values derived from a whole graph are memoized by ``bounded_cache``: an LRU
 cache of at most ``CACHE_MAXSIZE`` entries, keyed by the graph.  Here these
-are the minimal-dominating-set scan and the strong-set search; the
-dominating-set protocol's decision uses the same decorator.  ``cache_stats``
-reports the hits, misses and sizes of every such cache.
+are the minimal-dominating-set scan and the strong-set search.  The
+protocols use the same decorator for the dominating-set decision and for the
+underlying-graph output's vertex table (the canonical order of a vertex set
+and each vertex's rank in it, keyed by the vertex frozenset).
+``cache_stats`` reports the hits, misses and sizes of every such cache.
 """
 
 from __future__ import annotations

@@ -90,7 +90,8 @@ def tvg_from_dict(obj: dict) -> Tvg:
     for v in raw_vertices:
         if not isinstance(v, str) or not _ID_RE.fullmatch(v):
             raise ParseError(f"invalid vertex identifier {v!r}")
-    if len(set(raw_vertices)) != len(raw_vertices):
+    declared = set(raw_vertices)
+    if len(declared) != len(raw_vertices):
         raise ParseError("duplicate vertex identifier")
     raw_edges = obj.get("edges")
     if not isinstance(raw_edges, list):
@@ -103,7 +104,9 @@ def tvg_from_dict(obj: dict) -> Tvg:
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: edge entry must be an object")
         u, v = entry.get("u"), entry.get("v")
-        if u not in raw_vertices or v not in raw_vertices:
+        # Declared ids are strings: test the type first, since a JSON array
+        # or object is unhashable.
+        if not (isinstance(u, str) and u in declared and isinstance(v, str) and v in declared):
             raise ParseError(f"{where}: endpoints {u!r},{v!r} must be declared vertices")
         if u == v:
             raise ParseError(f"{where}: self-loop on {u!r}")

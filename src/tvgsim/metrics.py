@@ -19,7 +19,7 @@ from .engine import (
     Trace,
 )
 from .errors import DomainError
-from .graphs import Edge, StaticGraph, VertexId, make_edge, vertex_key
+from .graphs import Edge, StaticGraph, VertexId, make_edge
 from .tvg import Tick
 
 OutputPredicate = Callable[[Dict[VertexId, object]], bool]

@@ -35,9 +35,21 @@ from .metrics import nps_broadcast, nps_ug
 from .tvg import eventual_underlying_graph, underlying_graph
 
 
+@bounded_cache
+def _vertex_table(vertices: FrozenSet[VertexId]) -> Tuple[str, Tuple[VertexId, ...], Dict[VertexId, int]]:
+    """The vertices joined in canonical order, that order, and each vertex's
+    rank in it.  Shared by every caller: never mutate the rank dict."""
+    order = tuple(sorted(vertices, key=vertex_key))
+    return ",".join(order), order, {v: i for i, v in enumerate(order)}
+
+
 def graph_to_str(g: StaticGraph) -> str:
-    verts = ",".join(g.sorted_vertices())
-    edges = ",".join(f"{u}-{v}" for (u, v) in g.sorted_edges())
+    # Edge (u, v) sorts at rank[u] * n + rank[v]: the canonical edge order,
+    # with integer keys in place of a key function per edge.
+    verts, order, rank = _vertex_table(g.vertices)
+    n = len(order)
+    positions = sorted([rank[u] * n + rank[v] for (u, v) in g.edges])
+    edges = ",".join([f"{order[p // n]}-{order[p % n]}" for p in positions])
     return f"{verts}|{edges}"
 
 
@@ -68,9 +80,14 @@ class UgProtocol(Protocol):
     def on_receive(self, state, vertex, sender, payload):
         if not isinstance(payload, StaticGraph):
             raise DomainError(f"malformed payload from {sender!r}")
-        if not (payload.edges - state.local_graph.edges):
+        local = state.local_graph
+        if payload.edges <= local.edges:
             return state, []
-        graph = state.local_graph.union(payload)
+        # A payload that contains the local graph is their union: keep it.
+        if local.edges <= payload.edges and local.vertices <= payload.vertices:
+            graph = payload
+        else:
+            graph = local.union(payload)
         sends = [(r, graph) for r in sorted(state.known_neighbors - {sender}, key=vertex_key)]
         return replace(state, local_graph=graph), sends
 

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
-from .engine import OUTPUT_CHANGED, Trace, run
+from .engine import OUTPUT_CHANGED, run
 from .errors import DomainError, GenerationError
 from .graphs import (
     Edge,
@@ -21,7 +21,6 @@ from .graphs import (
     is_connected,
     make_edge,
     smds_witness,
-    vertex_key,
 )
 from .protocols import MdstProtocol
 from .tvg import PeriodicTail, PresenceSchedule, Tick, Tvg, is_connected_over_time, restrict

@@ -14,10 +14,10 @@ from tvgsim.engine import (
     replay_outputs,
     run,
 )
-from tvgsim.errors import DomainError
+from tvgsim.errors import CapacityError, DomainError
 from tvgsim.graphs import StaticGraph
-from tvgsim.protocols import FloodProtocol, UgProtocol
-from tvgsim.scenarios import ALWAYS, generate_gk
+from tvgsim.protocols import FloodProtocol, MdstProtocol, UgProtocol
+from tvgsim.scenarios import ALWAYS, generate_gk, named_graph
 from tvgsim.tvg import PeriodicTail, PresenceSchedule, Tvg
 
 
@@ -227,3 +227,25 @@ def test_noop_elision_keeps_trace_and_spares_proxies():
     assert downs > 0
     assert proxy.calls["on_init"] == len(tvg.graph.vertices)
     assert proxy.calls["on_edge_disappear"] == 2 * downs
+
+
+def test_run_checks_a_protocol_before_the_first_event():
+    g = named_graph("path", 13)
+    tvg = Tvg(g, {e: ALWAYS for e in g.edges}, {e: 1 for e in g.edges})
+    started = []
+
+    class WatchedMdst(MdstProtocol):
+        def initial_state(self, vertex):
+            started.append(vertex)
+            return super().initial_state(vertex)
+
+    # One component of 13 vertices is past the mdst subset-scan cap.
+    with pytest.raises(CapacityError):
+        run(tvg, WatchedMdst(), 50)
+    assert started == []
+    # Flood's check reads the origin it was built with.
+    with pytest.raises(DomainError):
+        run(tvg, FloodProtocol("nope"), 50)
+    # A non-Protocol object is run unchecked, and only its handlers are read.
+    proxy = CountingProxy(FloodProtocol("nope"))
+    assert not any(run(tvg, proxy, 50).final_outputs.values())

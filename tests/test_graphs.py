@@ -1,4 +1,5 @@
 import itertools
+from string import ascii_letters, digits
 
 import networkx as nx
 import pytest
@@ -42,7 +43,7 @@ def test_vertex_order_is_total_on_identifiers():
     assert ordered == ["Z", "_", "a", "p1", "p2", "abc", "p10"]
 
 
-identifiers = st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True)
+identifiers = st.text(alphabet=ascii_letters + digits + "_", min_size=1, max_size=4)
 
 
 @settings(max_examples=200, deadline=None)

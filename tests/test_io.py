@@ -125,6 +125,8 @@ def test_scenario_dict_shape():
         (lambda d: d.update(vertices=["p0\n", "p1", "p2", "p3"]), "identifier"),
         (lambda d: d.pop("edges"), "edges"),
         (lambda d: d["edges"][0].update(u="nope"), "declared vertices"),
+        (lambda d: d["edges"][0].update(u=["p0"]), "endpoints"),
+        (lambda d: d["edges"][0].update(v={"p1": 1}), "must be declared"),
         (lambda d: d["edges"][0].update(latency=0), "latency"),
         (lambda d: d["edges"][0].update(intervals=[[3, 3]]), "interval"),
         (lambda d: d["edges"][0].update(intervals=[[3]]), "interval"),

@@ -21,6 +21,7 @@ from tvgsim.protocols import (
     FloodProtocol,
     MdstProtocol,
     UgProtocol,
+    UgState,
     get_protocol,
     graph_to_str,
     mdst_chosen_set,
@@ -36,6 +37,53 @@ def static_tvg(g, latency=1):
 def test_graph_to_str():
     g = StaticGraph.of(["b", "a", "c"], [("c", "a"), ("a", "b")])
     assert graph_to_str(g) == "a,b,c|a-b,a-c"
+
+
+def _graph_to_str_by_sorting(g):
+    """The output format by its definition: vertices and edges each sorted by
+    their canonical keys."""
+    verts = ",".join(g.sorted_vertices())
+    edges = ",".join(f"{u}-{v}" for (u, v) in g.sorted_edges())
+    return f"{verts}|{edges}"
+
+
+# Ids of several lengths, where (length, id) order and plain string order differ.
+mixed_ids = st.sampled_from(["a", "b", "Z", "_", "_1", "a1", "p9", "p10", "Zz9"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(mixed_ids, max_size=4), st.lists(st.tuples(mixed_ids, mixed_ids), max_size=20))
+def test_graph_to_str_matches_sorted_format(isolated, pairs):
+    pairs = [p for p in pairs if p[0] != p[1]]
+    g = StaticGraph.of(isolated | {v for p in pairs for v in p}, pairs)
+    assert graph_to_str(g) == _graph_to_str_by_sorting(g)
+
+
+def _edge_sets(vertices):
+    pairs = list(itertools.combinations(vertices, 2))
+    return st.sets(st.sampled_from(pairs), max_size=len(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_sets("abcde"), _edge_sets("abcde"), st.booleans())
+def test_ug_receive_result_is_the_union(local_edges, payload_edges, extend):
+    # As in a run: the local graph spans its edges and the process's own
+    # vertex; a payload spans its edges.  ``extend`` makes the payload a
+    # superset of the local edges, the case where it may be adopted.
+    if extend:
+        payload_edges = payload_edges | local_edges
+    local = StaticGraph.of({"a"} | {x for e in local_edges for x in e}, local_edges)
+    payload = StaticGraph.of({x for e in payload_edges for x in e}, payload_edges)
+    state = UgState(local, frozenset("bcd"))
+    new_state, sends = UgProtocol().on_receive(state, "a", "b", payload)
+    assert new_state.local_graph == local.union(payload)
+    if payload.edges <= local.edges:
+        assert new_state is state and sends == []
+        return
+    if local.edges <= payload.edges and local.vertices <= payload.vertices:
+        assert new_state.local_graph is payload
+    assert new_state.known_neighbors == state.known_neighbors
+    assert sends == [("c", new_state.local_graph), ("d", new_state.local_graph)]
 
 
 def test_get_protocol():
@@ -169,9 +217,10 @@ def test_cache_stats_repeat_and_stay_bounded():
     for _ in range(2):
         clear_caches()
         run(tvg, MdstProtocol(), 200)
+        run(tvg, UgProtocol(), 200)
         stats.append(cache_stats())
     assert stats[0] == stats[1]
-    assert set(stats[0]) == {"_enumerate_mds_cached", "_find_smds_cached", "_mdst_decision"}
+    assert set(stats[0]) == {"_enumerate_mds_cached", "_find_smds_cached", "_mdst_decision", "_vertex_table"}
     for hits, misses, currsize, maxsize in stats[0].values():
         assert maxsize is not None and currsize <= maxsize
         assert misses > 0
