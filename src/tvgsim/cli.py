@@ -55,9 +55,7 @@ def cmd_analyze(args) -> int:
             print("no strong minimal dominating set")
             for m in graphs.enumerate_minimal_dominating_sets(g):
                 witness = graphs.smds_witness(g, m)
-                dominators = {
-                    graphs.make_edge(witness, q) for q in g.neighbors(witness) & m
-                }
+                dominators = graphs.dominator_edges(g, witness, m)
                 print(
                     f"  candidate {_fmt_set(m)}: witness {witness}, "
                     f"dominator edges {_fmt_edges(dominators)} are not a cut-set"
@@ -76,8 +74,8 @@ def cmd_simulate(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.serialize())
-    for v in sorted(trace.formatted_finals, key=vertex_key):
-        print(f"{v} {trace.formatted_finals[v]}")
+    for line in trace.final_lines():
+        print(line)
     if not problem.converged(tvg, trace.final_outputs):
         raise NotConvergedError("not converged within horizon")
     if args.metrics:

@@ -24,7 +24,9 @@ scenario and the protocol's ``origin``; any other object is run unchecked.
 The trace is a list of ``TraceEvent`` records, one per event.  A record is a
 ``NamedTuple``: immutable and hashable like a frozen dataclass, and about
 twice as cheap to build, which matters because a trace is recorded on every
-run.
+run.  An ``OutputChanged`` record holds the vertex and the raw output value.
+Only the ``Trace`` formats outputs, with the protocol's ``format_output``,
+when it is serialized: metrics, replay and the adversary format nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
 from .graphs import Edge, StaticGraph, VertexId, make_edge, vertex_key
@@ -77,11 +79,8 @@ class Message:
 class TraceEvent(NamedTuple):
     time: Tick
     kind: str
-    subject: Tuple[str, ...]
-    value: Any = None  # raw output for OutputChanged; not serialized
-
-    def line(self) -> str:
-        return " ".join((str(self.time), self.kind) + self.subject)
+    subject: Tuple[str, ...]  # (vertex,) for OutputChanged
+    value: Any = None  # raw output for OutputChanged
 
 
 @dataclass
@@ -90,14 +89,21 @@ class Trace:
     initial_outputs: Dict[VertexId, Any]
     final_outputs: Dict[VertexId, Any]
     horizon: Tick
-    formatted_finals: Dict[VertexId, str]
+    format_output: Callable[[Any], str]
 
     def serialize(self) -> str:
-        lines = [ev.line() for ev in self.events]
-        lines.append("FINAL")
-        for v in sorted(self.formatted_finals, key=vertex_key):
-            lines.append(f"{v} {self.formatted_finals[v]}")
-        return "\n".join(lines) + "\n"
+        """One line per event, ``FINAL``, then the final lines."""
+        fmt = self.format_output
+        lines = [
+            f"{t} {kind} {subject[0]} {fmt(value)}" if kind == OUTPUT_CHANGED else " ".join((str(t), kind) + subject)
+            for t, kind, subject, value in self.events
+        ]
+        return "\n".join(lines + ["FINAL"] + self.final_lines()) + "\n"
+
+    def final_lines(self) -> List[str]:
+        """``<vertex> <formatted final output>`` for every vertex, in id order."""
+        fmt, finals = self.format_output, self.final_outputs
+        return [f"{v} {fmt(finals[v])}" for v in sorted(finals, key=vertex_key)]
 
 
 def replay_outputs(trace: Trace, t: Tick) -> Dict[VertexId, Any]:
@@ -186,7 +192,6 @@ def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:
     latency = tvg.latency
     phi = tvg.process_latency
     output = protocol.output
-    format_output = protocol.format_output
     on_receive = protocol.on_receive
 
     states = {v: protocol.initial_state(v) for v in verts}
@@ -252,7 +257,7 @@ def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:
             out = output(state)
             if out != current_output[v]:
                 current_output[v] = out
-                events.append(TraceEvent(tick, OUTPUT_CHANGED, (v, format_output(out)), out))
+                events.append(TraceEvent(tick, OUTPUT_CHANGED, (v,), out))
             for dest, payload in sends:
                 e = edge_of.get((v, dest))
                 if e is None:
@@ -288,11 +293,4 @@ def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:
             del pending[m.edge][m.id]
             push_callbacks(tick + phi, ((on_receive, m.receiver, (m.sender, m.payload)),))
 
-    formatted = {v: format_output(current_output[v]) for v in verts}
-    return Trace(
-        events=events,
-        initial_outputs=initial_outputs,
-        final_outputs=dict(current_output),
-        horizon=horizon,
-        formatted_finals=formatted,
-    )
+    return Trace(events, initial_outputs, current_output, horizon, protocol.format_output)

@@ -142,6 +142,16 @@ class StaticGraph:
         return StaticGraph(frozenset(seen), es)
 
 
+def components(g: StaticGraph) -> Iterator[FrozenSet[VertexId]]:
+    """Vertex sets of the connected components, by their least vertex."""
+    seen = set()
+    for v in g.sorted_vertices():
+        if v not in seen:
+            comp = frozenset(_bfs_distances(g.adjacency, v))
+            seen |= comp
+            yield comp
+
+
 def is_connected(g: StaticGraph) -> bool:
     if not g.vertices:
         raise DomainError("connectivity is undefined on an empty vertex set")
@@ -235,15 +245,18 @@ def _enumerate_mds_cached(g: StaticGraph) -> Tuple[FrozenSet[VertexId], ...]:
     return tuple(result)
 
 
+def check_subset_scan(vertices: FrozenSet[VertexId]) -> None:
+    """The one guard of the subset scan: at most ``SUBSET_VERTEX_CAP`` vertices."""
+    if len(vertices) > SUBSET_VERTEX_CAP:
+        raise CapacityError(f"subset scan capped at {SUBSET_VERTEX_CAP} vertices, got {len(vertices)}")
+
+
 def enumerate_minimal_dominating_sets(g: StaticGraph):
     """All minimal dominating sets, ordered by cardinality then lexicographically
     on the sorted identifier lists."""
     if not g.vertices:
         raise DomainError("no dominating sets on an empty vertex set")
-    if len(g.vertices) > SUBSET_VERTEX_CAP:
-        raise CapacityError(
-            f"subset scan capped at {SUBSET_VERTEX_CAP} vertices, got {len(g.vertices)}"
-        )
+    check_subset_scan(g.vertices)
     return list(_enumerate_mds_cached(g))
 
 
@@ -288,10 +301,14 @@ def _first_witness(g: StaticGraph, ms: FrozenSet[VertexId]) -> Optional[VertexId
     # Neither public name calls the other, so a count of calls to one of
     # them counts only its own callers.
     for p in sorted(g.vertices - ms, key=vertex_key):
-        dominators = {make_edge(p, q) for q in g.neighbors(p) & ms}
-        if not is_cut_set(g, dominators):
+        if not is_cut_set(g, dominator_edges(g, p, ms)):
             return p
     return None
+
+
+def dominator_edges(g: StaticGraph, p: VertexId, m: FrozenSet[VertexId]) -> FrozenSet[Edge]:
+    """The edges joining ``p`` to its dominators in ``m``."""
+    return frozenset(make_edge(p, q) for q in g.neighbors(p) & m)
 
 
 @bounded_cache
@@ -307,8 +324,5 @@ def find_smds(g: StaticGraph) -> Optional[FrozenSet[VertexId]]:
     characterization, or None when the graph admits no such set."""
     if not is_connected(g):
         raise DomainError("strong-MDS search requires a connected graph")
-    if len(g.vertices) > SUBSET_VERTEX_CAP:
-        raise CapacityError(
-            f"subset scan capped at {SUBSET_VERTEX_CAP} vertices, got {len(g.vertices)}"
-        )
+    check_subset_scan(g.vertices)
     return _find_smds_cached(g)

@@ -17,7 +17,7 @@ def parse_graph_text(text: str) -> StaticGraph:
     """Graph file: first line ``vertices: <comma-separated ids>``, then
     ``edge: <id> <id>`` lines; ``#`` starts a comment."""
     vertices = None
-    edges = []
+    edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -44,12 +44,15 @@ def parse_graph_text(text: str) -> StaticGraph:
                     raise ParseError(f"line {lineno}: unknown vertex {x!r}")
             if u == v:
                 raise ParseError(f"line {lineno}: self-loop on {u!r}")
-            edges.append((u, v))
+            e = make_edge(u, v)
+            if e in edges:
+                raise ParseError(f"line {lineno}: duplicate edge {u!r}-{v!r}")
+            edges.add(e)
         else:
             raise ParseError(f"line {lineno}: unrecognized line {raw!r}")
     if vertices is None:
         raise ParseError("missing 'vertices:' line")
-    return StaticGraph.of(vertices, edges)
+    return StaticGraph(frozenset(vertices), frozenset(edges))
 
 
 def load_graph_file(path: str) -> StaticGraph:

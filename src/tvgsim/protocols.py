@@ -17,14 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .engine import Protocol
 from .graphs import (
-    SUBSET_VERTEX_CAP,
     Edge,
     StaticGraph,
     VertexId,
     bounded_cache,
+    check_subset_scan,
+    components,
     enumerate_minimal_dominating_sets,
     find_smds,
     is_minimal_dominating,
@@ -201,18 +202,8 @@ class MdstProtocol(UgProtocol):
     @staticmethod
     def check(tvg, origin):
         # Every decision scans the subsets of a component of the footprint.
-        g = tvg.graph
-        seen = set()
-        for v in g.sorted_vertices():
-            if v in seen:
-                continue
-            comp = g.component_of(v).vertices
-            if len(comp) > SUBSET_VERTEX_CAP:
-                raise CapacityError(
-                    f"subset scan capped at {SUBSET_VERTEX_CAP} vertices, "
-                    f"got a component of {len(comp)}"
-                )
-            seen |= comp
+        for comp in components(tvg.graph):
+            check_subset_scan(comp)
 
     @staticmethod
     def converged(tvg, outputs):

@@ -16,6 +16,7 @@ from .graphs import (
     StaticGraph,
     VertexId,
     diameter,
+    dominator_edges,
     edge_key,
     find_smds,
     is_connected,
@@ -233,9 +234,7 @@ def adversary_destabilize(underlying: StaticGraph, max_rounds: int) -> Tuple[Tvg
         witness = smds_witness(underlying, stable)
         if witness is None:
             raise GenerationError(f"stabilized set {sorted(stable)} is unexpectedly strong")
-        suppressed = frozenset(
-            make_edge(witness, q) for q in underlying.neighbors(witness) & stable
-        )
+        suppressed = dominator_edges(underlying, witness, stable)
         start = eta + 1
         probe = restrict(tvg, [(sorted(suppressed, key=edge_key), (start, None))])
         new_set, alpha = _stabilize(probe, start, quiet)

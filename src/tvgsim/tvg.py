@@ -189,15 +189,12 @@ class Tvg:
         if self.process_latency < 0:
             raise DomainError("process latency must be non-negative")
 
-    def edge_schedule(self, e: Edge) -> PresenceSchedule:
-        try:
-            return self.schedule[e]
-        except KeyError:
-            raise DomainError(f"unknown edge {e}") from None
-
 
 def presence(tvg: Tvg, e: Tuple[VertexId, VertexId], t: Tick) -> bool:
-    return tvg.edge_schedule(make_edge(*e)).present_at(t)
+    edge = make_edge(*e)
+    if edge not in tvg.schedule:
+        raise DomainError(f"unknown edge {edge}")
+    return tvg.schedule[edge].present_at(t)
 
 
 def underlying_graph(tvg: Tvg) -> StaticGraph:

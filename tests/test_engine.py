@@ -16,6 +16,7 @@ from tvgsim.engine import (
 )
 from tvgsim.errors import CapacityError, DomainError
 from tvgsim.graphs import StaticGraph
+from tvgsim.metrics import convergence_steps
 from tvgsim.protocols import FloodProtocol, MdstProtocol, UgProtocol
 from tvgsim.scenarios import ALWAYS, generate_gk, named_graph
 from tvgsim.tvg import PeriodicTail, PresenceSchedule, Tvg
@@ -61,12 +62,14 @@ def test_run_rejects_bad_horizon():
 
 def test_immediate_delivery():
     trace = run(two_vertex(ALWAYS, latency=3), SendOnce("a", "b"), 10)
-    lines = [ev.line() for ev in trace.events]
-    assert lines == [
+    assert trace.serialize().splitlines() == [
         "0 EdgeUp a b",
         "0 SendInvoked 1 a b",
         "3 MessageDelivered 1",
         "3 OutputChanged b true",
+        "FINAL",
+        "a false",
+        "b true",
     ]
     assert trace.final_outputs == {"a": False, "b": True}
 
@@ -137,6 +140,30 @@ def test_trace_serialization_and_replay():
     assert replay_outputs(trace, 0) != trace.final_outputs
     with pytest.raises(DomainError):
         replay_outputs(trace, 31)
+
+
+class CountingUg(UgProtocol):
+    def __init__(self):
+        self.formatted = 0
+
+    def format_output(self, value):
+        self.formatted += 1
+        return super().format_output(value)
+
+
+def test_outputs_are_formatted_only_at_serialization():
+    tvg = generate_gk(2)
+    protocol = CountingUg()
+    trace = run(tvg, protocol, 50)
+    replay_outputs(trace, 25)
+    final = trace.final_outputs
+    convergence_steps(trace, UgProtocol.nps(tvg.graph, None), lambda outs: outs == final)
+    assert protocol.formatted == 0
+    changes = sum(1 for ev in trace.events if ev.kind == OUTPUT_CHANGED)
+    assert changes > 0
+    assert all(len(ev.subject) == 1 for ev in trace.events if ev.kind == OUTPUT_CHANGED)
+    trace.serialize()
+    assert protocol.formatted == changes + len(tvg.graph.vertices)
 
 
 def test_determinism_repeated_runs():

@@ -43,6 +43,7 @@ def test_parse_graph_text():
         ("vertices: a, b\nedge: a\n", "expected 'edge:"),
         ("vertices: a, b\nedge: a c\n", "unknown vertex"),
         ("vertices: a, b\nedge: a a\n", "self-loop"),
+        ("vertices: a, b\nedge: a b\nedge: b a\n", "line 3: duplicate edge 'b'-'a'"),
         ("vertices: a, b\nwhat: ever\n", "unrecognized"),
         ("# only comments\n", "missing 'vertices:'"),
     ],

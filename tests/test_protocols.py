@@ -217,7 +217,8 @@ def test_cache_stats_repeat_and_stay_bounded():
     for _ in range(2):
         clear_caches()
         run(tvg, MdstProtocol(), 200)
-        run(tvg, UgProtocol(), 200)
+        # Only serialization formats ug outputs, through _vertex_table.
+        run(tvg, UgProtocol(), 200).serialize()
         stats.append(cache_stats())
     assert stats[0] == stats[1]
     assert set(stats[0]) == {"_enumerate_mds_cached", "_find_smds_cached", "_mdst_decision", "_vertex_table"}

@@ -32,3 +32,65 @@ def test_unused_imports_detector():
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text(encoding="utf-8")) == []
+
+
+def defined_names(source: str):
+    """Module-level functions, classes and constants, dunders excluded."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def referenced_names(source: str):
+    """Names a module reads: bare names, attributes, and identifier strings
+    (which getattr and setattr take)."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            refs.add(node.value)
+    return refs
+
+
+def dead_names(defining, readers, exempt=frozenset()):
+    """``(module, name)`` for each name a module in ``defining`` defines that
+    no source in ``readers`` reads.  Both map a file name to its source."""
+    refs = set().union(*map(referenced_names, readers.values()))
+    return sorted(
+        (module, name)
+        for module, source in defining.items()
+        for name in defined_names(source) - refs - exempt
+    )
+
+
+def test_dead_names_detector():
+    defining = {"m.py": "X = 1\nY: int = 2\n__all__ = []\ndef used(): pass\ndef dead(): used()\nclass C: pass\n"}
+    readers = {**defining, "t.py": "import m\nm.X\nprint(getattr(m, 'C'))\nY = 3\n"}
+    assert dead_names(defining, readers) == [("m.py", "Y"), ("m.py", "dead")]
+    assert dead_names(defining, readers, exempt={"dead"}) == [("m.py", "Y")]
+
+
+def test_no_dead_names():
+    # __init__.py re-exports the public interface, which stays whether or not
+    # this repository calls it; its imports do not count as uses.
+    root = SRC.parent.parent
+    package = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    init = package.pop("__init__.py")
+    public = {alias.asname or alias.name for node in ast.parse(init).body
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readers = {
+        str(p): p.read_text(encoding="utf-8")
+        for d in ("src", "tests", "bench")
+        for p in (root / d).rglob("*.py")
+        if p.name != "__init__.py"
+    }
+    assert dead_names(package, readers, exempt=public) == []

@@ -201,6 +201,14 @@ def test_underlying_graphs():
     assert not presence(g1, ("p0", "p2"), 1)
 
 
+def test_presence_on_unknown_edge():
+    g1 = generate_gk(1)
+    assert presence(g1, ("p2", "p0"), 0)
+    with pytest.raises(DomainError) as exc:
+        presence(g1, ("p0", "p3"), 0)
+    assert "unknown edge ('p0', 'p3')" in str(exc.value)
+
+
 def test_not_connected_over_time():
     g = StaticGraph.of(["a", "b", "c"], [("a", "b"), ("b", "c")])
     tvg = Tvg(
