@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 usage/parse error, 2 domain error, 3 simulation did
 not converge within the horizon.
+
+The argument parser is built once per process, on the first call to
+``main``, and reused by every later call; parsing keeps no state in it, so
+each call behaves as in a fresh process.  Importing this module builds
+nothing.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ def cmd_simulate(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.serialize())
-    for line in trace.final_lines():
+    for line in trace.final_lines:
         print(line)
     if not problem.converged(tvg, trace.final_outputs):
         raise NotConvergedError("not converged within horizon")
@@ -180,10 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.command == "simulate":

@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
@@ -98,12 +99,16 @@ class Trace:
             f"{t} {kind} {subject[0]} {fmt(value)}" if kind == OUTPUT_CHANGED else " ".join((str(t), kind) + subject)
             for t, kind, subject, value in self.events
         ]
-        return "\n".join(lines + ["FINAL"] + self.final_lines()) + "\n"
+        lines.append("FINAL")
+        lines.extend(self.final_lines)
+        return "\n".join(lines) + "\n"
 
-    def final_lines(self) -> List[str]:
-        """``<vertex> <formatted final output>`` for every vertex, in id order."""
+    @cached_property
+    def final_lines(self) -> Tuple[str, ...]:
+        """``<vertex> <formatted final output>`` for every vertex, in id order.
+        Formatted once and kept: ``serialize()`` and the CLI both print them."""
         fmt, finals = self.format_output, self.final_outputs
-        return [f"{v} {fmt(finals[v])}" for v in sorted(finals, key=vertex_key)]
+        return tuple(f"{v} {fmt(finals[v])}" for v in sorted(finals, key=vertex_key))
 
 
 def replay_outputs(trace: Trace, t: Tick) -> Dict[VertexId, Any]:

@@ -101,26 +101,25 @@ def tvg_from_dict(obj: dict) -> Tvg:
         raise ParseError("scenario needs an 'edges' array")
     schedule = {}
     latency = {}
-    edges = []
+    # Messages name the entry as f"edges[{i}]", built only when one is raised.
     for i, entry in enumerate(raw_edges):
-        where = f"edges[{i}]"
         if not isinstance(entry, dict):
-            raise ParseError(f"{where}: edge entry must be an object")
+            raise ParseError(f"edges[{i}]: edge entry must be an object")
         u, v = entry.get("u"), entry.get("v")
         # Declared ids are strings: test the type first, since a JSON array
         # or object is unhashable.
         if not (isinstance(u, str) and u in declared and isinstance(v, str) and v in declared):
-            raise ParseError(f"{where}: endpoints {u!r},{v!r} must be declared vertices")
+            raise ParseError(f"edges[{i}]: endpoints {u!r},{v!r} must be declared vertices")
         if u == v:
-            raise ParseError(f"{where}: self-loop on {u!r}")
+            raise ParseError(f"edges[{i}]: self-loop on {u!r}")
         z = entry.get("latency")
         # Integer fields test type(x) is int: JSON true/false load as bool,
         # an int subclass, and must not pass as 1/0.
         if type(z) is not int or z < 1:
-            raise ParseError(f"{where}: latency must be an integer >= 1")
+            raise ParseError(f"edges[{i}]: latency must be an integer >= 1")
         intervals = entry.get("intervals", [])
         if not isinstance(intervals, list):
-            raise ParseError(f"{where}: intervals must be an array of [start,end] pairs")
+            raise ParseError(f"edges[{i}]: intervals must be an array of [start,end] pairs")
         parsed = []
         for pair in intervals:
             if (
@@ -129,35 +128,36 @@ def tvg_from_dict(obj: dict) -> Tvg:
                 or type(pair[0]) is not int
                 or type(pair[1]) is not int
             ):
-                raise ParseError(f"{where}: interval {pair!r} must be a pair of integers")
+                raise ParseError(f"edges[{i}]: interval {pair!r} must be a pair of integers")
             parsed.append((pair[0], pair[1]))
         tail: Optional[PeriodicTail] = None
         periodic = entry.get("periodic")
         if periodic is not None:
             if not isinstance(periodic, dict):
-                raise ParseError(f"{where}: periodic must be an object")
+                raise ParseError(f"edges[{i}]: periodic must be an object")
             fields = (periodic.get("offset"), periodic.get("period"), periodic.get("duration"))
             if tuple(map(type, fields)) != (int, int, int):
-                raise ParseError(f"{where}: periodic offset, period and duration must be integers")
+                raise ParseError(f"edges[{i}]: periodic offset, period and duration must be integers")
             try:
                 tail = PeriodicTail(*fields)
             except DomainError as exc:
-                raise ParseError(f"{where}: invalid periodic tail: {exc}") from None
+                raise ParseError(f"edges[{i}]: invalid periodic tail: {exc}") from None
         if not parsed and tail is None:
-            raise ParseError(f"{where}: edge has no presence at all; remove it instead")
+            raise ParseError(f"edges[{i}]: edge has no presence at all; remove it instead")
         e = make_edge(u, v)
         if e in schedule:
-            raise ParseError(f"{where}: duplicate edge {u!r}-{v!r}")
+            raise ParseError(f"edges[{i}]: duplicate edge {u!r}-{v!r}")
         try:
             schedule[e] = PresenceSchedule.of(parsed, tail)
         except DomainError as exc:
-            raise ParseError(f"{where}: invalid schedule: {exc}") from None
+            raise ParseError(f"edges[{i}]: invalid schedule: {exc}") from None
         latency[e] = z
-        edges.append(e)
     pl = obj.get("process_latency", 0)
     if type(pl) is not int or pl < 0:
         raise ParseError("process_latency must be a non-negative integer")
-    graph = StaticGraph.of(raw_vertices, edges)
+    # The edges are canonical and their endpoints declared, so the graph is
+    # built directly rather than through StaticGraph.of.
+    graph = StaticGraph(frozenset(raw_vertices), frozenset(schedule))
     return Tvg(graph, schedule, latency, pl)
 
 

@@ -65,8 +65,15 @@ class PresenceSchedule:
     def of(intervals, tail: Optional[PeriodicTail] = None) -> "PresenceSchedule":
         """Normalizing constructor: sorts, merges touching intervals, folds
         finite intervals abutting the tail into it."""
+        pairs = tuple(map(tuple, intervals))
+        try:
+            # Input already in normal form (as ``save_scenario`` writes it)
+            # costs only the constructor's check.
+            return PresenceSchedule(pairs, tail)
+        except DomainError:
+            pass
         ints: List[List[Tick]] = []
-        for (s, e) in sorted(intervals):
+        for (s, e) in sorted(pairs):
             if s < 0:
                 raise DomainError(f"interval start {s} is negative")
             if e <= s:
@@ -248,26 +255,29 @@ def earliest_arrival(
     after = max(after, 0)
     if source == target:
         return after
+    adjacency, schedule, latency = tvg.graph.adjacency, tvg.schedule, tvg.latency
     best: Dict[VertexId, Tick] = {source: after}
-    heap: List[Tuple[Tick, Tuple[int, str]]] = [(after, vertex_key(source))]
-    key_to_vertex = {vertex_key(v): v for v in tvg.graph.vertices}
+    # Entries (tick, len(v), v) pop in (tick, vertex_key) order.  Which
+    # vertices are expanded, and so which windows are queried, does not
+    # depend on the order neighbours are relaxed in.
+    heap: List[Tuple[Tick, int, VertexId]] = [(after, len(source), source)]
     while heap:
-        t, vk = heapq.heappop(heap)
-        v = key_to_vertex[vk]
+        t, lv, v = heapq.heappop(heap)
         if t > best[v]:
             continue
         if v == target:
             return t
-        for u in sorted(tvg.graph.neighbors(v), key=vertex_key):
-            e = make_edge(v, u)
-            need = tvg.latency[e] if deliverable else 0
-            dep = tvg.schedule[e].earliest_window(t, need)
+        vk = (lv, v)  # vertex_key(v)
+        for u in adjacency[v]:
+            e = (v, u) if vk < vertex_key(u) else (u, v)  # make_edge(v, u)
+            z = latency[e]
+            dep = schedule[e].earliest_window(t, z if deliverable else 0)
             if dep is None:
                 continue
-            arrival = dep + tvg.latency[e]
+            arrival = dep + z
             if u not in best or arrival < best[u]:
                 best[u] = arrival
-                heapq.heappush(heap, (arrival, vertex_key(u)))
+                heapq.heappush(heap, (arrival, len(u), u))
     return best.get(target)
 
 

@@ -226,3 +226,57 @@ def test_adversary_inapplicable(tmp_path, capsys):
     path.write_text("vertices: a, b, c\nedge: a b\nedge: a c\n")
     assert main(["adversary", "--graph", str(path), "--rounds", "1"]) == 2
     assert "inapplicable" in capsys.readouterr().err
+
+
+def test_simulate_trace_formats_each_output_once(g1_file, tmp_path, monkeypatch):
+    from tvgsim.protocols import UgProtocol
+
+    calls = []
+    format_output = UgProtocol.format_output
+
+    def counted(self, value):
+        calls.append(value)
+        return format_output(self, value)
+
+    monkeypatch.setattr(UgProtocol, "format_output", counted)
+    trace_path = tmp_path / "trace.txt"
+    argv = ["simulate", g1_file, "--protocol", "ug", "--horizon", "30", "--trace", str(trace_path)]
+    assert main(argv) == 0
+    lines = trace_path.read_text().splitlines()
+    finals = lines[lines.index("FINAL") + 1:]
+    changes = sum(" OutputChanged " in line for line in lines)
+    assert changes > 0
+    assert len(calls) == changes + len(finals)
+
+
+def test_main_keeps_no_state_between_calls(g1_file, c5_file, tmp_path, monkeypatch, capsys):
+    from tvgsim import cli
+
+    sequence = [
+        ["journey", g1_file, "--from", "p1", "--to", "p3", "--after", "1", "--deliverable"],
+        ["journey", g1_file, "--from", "p1", "--to", "p3", "--after", "1"],
+        ["analyze", c5_file, "--all-mds", "--smds"],
+        ["analyze", c5_file],
+        ["journey", g1_file, "--from", "p1"],  # usage error: no --to
+        ["journey", g1_file, "--from", "p0", "--to", "p3"],
+        ["simulate", g1_file, "--protocol", "flood", "--origin", "p0", "--horizon", "20"],
+        ["simulate", g1_file, "--protocol", "ug", "--horizon", "30", "--metrics"],
+    ]
+
+    def call(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(call(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 1, 0, 0, 0]
+
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [call(argv) for argv in sequence] == fresh
+    assert len(builds) == 1

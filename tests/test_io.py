@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvgsim.errors import ParseError
-from tvgsim.graphs import StaticGraph
+from tvgsim.errors import DomainError, ParseError
+from tvgsim.graphs import StaticGraph, make_edge
 from tvgsim.io import (
     load_graph_file,
     load_scenario,
@@ -195,6 +195,92 @@ def test_scenario_dict_roundtrip(tvg):
     d = json.loads(json.dumps(tvg_to_dict(tvg)))
     assert tvg_from_dict(d) == tvg
     assert tvg_to_dict(tvg_from_dict(d)) == d
+
+
+def normalize_reference(intervals, tail):
+    """``PresenceSchedule.of`` without its shortcut for input already in
+    normal form: the full normalization, run on every input."""
+    ints = []
+    for (s, e) in sorted(intervals):
+        if s < 0:
+            raise DomainError(f"interval start {s} is negative")
+        if e <= s:
+            raise DomainError(f"interval [{s},{e}) is empty")
+        if ints and s <= ints[-1][1]:
+            ints[-1][1] = max(ints[-1][1], e)
+        else:
+            ints.append([s, e])
+    if tail is not None and tail.duration == tail.period:
+        offset = tail.offset
+        while ints and ints[-1][1] >= offset:
+            offset = min(offset, ints[-1][0])
+            ints.pop()
+        tail = PeriodicTail(offset, 1, 1)
+    elif tail is not None:
+        while ints and ints[-1][1] == tail.offset:
+            ints[-1][1] = tail.offset + tail.duration
+            tail = PeriodicTail(tail.offset + tail.period, tail.period, tail.duration)
+        if ints and ints[-1][1] > tail.offset:
+            raise DomainError("periodic tail overlaps a finite interval")
+    return PresenceSchedule(tuple((s, e) for s, e in ints), tail)
+
+
+@st.composite
+def raw_scenarios(draw):
+    """Scenario dicts as a hand-written file may hold them: intervals
+    unsorted, touching or overlapping; tails that abut or overlap an
+    interval; contiguous tails with period > 1; edges in either direction.
+    Dicts that ``save_scenario`` writes (normal form) are drawn too."""
+    n = draw(st.integers(2, 5))
+    verts = [f"v{i}" for i in range(n)]
+    pairs = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = []
+    for u, v in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)):
+        if draw(st.booleans()):
+            u, v = v, u
+        if draw(st.booleans()):
+            spans = st.tuples(st.integers(0, 20), st.integers(1, 6))
+            intervals = [[s, s + d] for s, d in draw(st.lists(spans, max_size=4))]
+        else:  # a sorted run, gap 0 where two intervals touch; maybe shuffled
+            intervals, end = [], draw(st.integers(0, 3))
+            for gap, length in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), max_size=4)):
+                intervals.append([end + gap, end + gap + length])
+                end += gap + length
+            intervals = draw(st.permutations(intervals))
+        entry = {"u": u, "v": v, "latency": draw(st.integers(1, 4)), "intervals": intervals}
+        if not intervals or draw(st.booleans()):
+            period = draw(st.integers(1, 6))
+            duration = draw(st.sampled_from([period, draw(st.integers(1, period))]))
+            ends = [e for _, e in intervals]
+            if ends and draw(st.booleans()):
+                offset = draw(st.sampled_from(ends))  # abuts an interval
+            else:
+                offset = draw(st.integers(0, 30))
+            entry["periodic"] = {"offset": offset, "period": period, "duration": duration}
+        edges.append(entry)
+    return {"vertices": verts, "edges": edges, "process_latency": draw(st.integers(0, 3))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(raw_scenarios(), scenarios().map(tvg_to_dict)))
+def test_loader_matches_reference_on_unnormalized_input(d):
+    schedule, latency = {}, {}
+    for i, entry in enumerate(d["edges"]):
+        periodic = entry.get("periodic")
+        tail = PeriodicTail(**periodic) if periodic else None
+        pairs = [tuple(p) for p in entry["intervals"]]
+        try:
+            sched = normalize_reference(pairs, tail)
+        except DomainError as exc:
+            with pytest.raises(ParseError) as raised:
+                tvg_from_dict(d)
+            assert str(raised.value) == f"edges[{i}]: invalid schedule: {exc}"
+            return
+        assert PresenceSchedule.of(pairs, tail) == sched
+        e = make_edge(entry["u"], entry["v"])
+        schedule[e], latency[e] = sched, entry["latency"]
+    graph = StaticGraph.of(d["vertices"], [(x["u"], x["v"]) for x in d["edges"]])
+    assert tvg_from_dict(d) == Tvg(graph, schedule, latency, d["process_latency"])
 
 
 def test_duplicate_edge_rejected():
