@@ -1,7 +1,7 @@
 """Deterministic simulation and analysis of distributed algorithms on
 time-varying graphs."""
 
-from .engine import Protocol, Trace, TraceEvent, deterministic_order, replay_outputs, run
+from .engine import Protocol, Trace, TraceEvent, replay_outputs, run
 from .errors import (
     CapacityError,
     DomainError,

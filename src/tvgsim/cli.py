@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage/parse error, 2 domain error, 3 simulation did
-not converge within the horizon.
+Exit codes: 0 success, 1 usage or parse error or a file that cannot be read
+or written, 2 domain error, 3 simulation did not converge within the horizon.
 
 The argument parser is built once per process, on the first call to
 ``main``, and reused by every later call; parsing keeps no state in it, so
@@ -204,7 +204,7 @@ def main(argv: Optional[list] = None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotConvergedError as exc:

@@ -1,10 +1,12 @@
 """Deterministic discrete-event executor of a protocol over a Tvg.
 
-Tie-break at equal ticks: edge disappearances first, then edge appearances
-(both in lexicographic edge order), then message deliveries in message-id
-order, then protocol callbacks in vertex-id order (one vertex's callbacks in
-the order they were scheduled).  The engine is seed-independent; the
-``seed`` argument is reserved for randomized scenario generation elsewhere.
+Events at one tick are processed in this order, which is the engine's whole
+tie-break and the order of the trace: edge disappearances, then edge
+appearances (each in canonical edge order), then message deliveries in
+message-id order, then protocol callbacks in vertex-id order (one vertex's
+callbacks in the order they were scheduled).  The engine is
+seed-independent; the ``seed`` argument is reserved for randomized scenario
+generation elsewhere.
 
 The edge schedule is read lazily: the heap holds only each edge's next
 appearance, and firing an appearance pushes that occurrence's disappearance
@@ -12,11 +14,11 @@ appearance, and firing an appearance pushes that occurrence's disappearance
 The heap therefore holds O(edges + messages in flight + pending callbacks)
 entries whatever the horizon or the periods.
 
-Callbacks whose handler a ``Protocol`` subclass inherits unchanged from the
-no-op on ``Protocol`` (``on_init``, ``on_edge_appear``, ``on_edge_disappear``)
-are never scheduled: they return the state unchanged and send nothing, so
-dropping them changes no output and keeps the order of everything else.
-Any other object passed as the protocol gets every callback.
+A callback whose handler is ``Protocol``'s own no-op method (``on_init``,
+``on_edge_appear``, ``on_edge_disappear``, inherited unchanged) is never
+scheduled: it returns the state unchanged and sends nothing, so dropping it
+changes no output and keeps the order of everything else.  Any other
+handler, such as a delegating proxy's own function, gets every callback.
 
 A ``Protocol`` subclass's ``check`` runs before the first event, on the
 scenario and the protocol's ``origin``; any other object is run unchecked.
@@ -27,6 +29,9 @@ twice as cheap to build, which matters because a trace is recorded on every
 run.  An ``OutputChanged`` record holds the vertex and the raw output value.
 Only the ``Trace`` formats outputs, with the protocol's ``format_output``,
 when it is serialized: metrics, replay and the adversary format nothing.
+``output_timeline`` is the one replay of the ``OutputChanged`` records;
+``replay_outputs``, the metrics and the adversary all read outputs over time
+from it.
 """
 
 from __future__ import annotations
@@ -48,25 +53,11 @@ MESSAGE_DELIVERED = "MessageDelivered"
 MESSAGE_LOST = "MessageLost"
 OUTPUT_CHANGED = "OutputChanged"
 
-# Processing phases at an equal tick; also the documented ordering contract.
+# Processing phases at an equal tick, in the order the module docstring states.
 _PHASE_DOWN = 0
 _PHASE_UP = 1
 _PHASE_DELIVERY = 2
 _PHASE_CALLBACK = 3
-
-ORDERING_CONTRACT = (
-    "edge disappearances before appearances",
-    "edge events in lexicographic edge order",
-    "deliveries in message-id order",
-    "protocol callbacks in vertex-id order",
-    "seed is reserved for scenario generation; the engine is seed-independent",
-)
-
-
-def deterministic_order() -> Tuple[str, ...]:
-    """The tie-break contract enforced at equal ticks."""
-    return ORDERING_CONTRACT
-
 
 @dataclass(slots=True)
 class Message:
@@ -111,17 +102,32 @@ class Trace:
         return tuple(f"{v} {fmt(finals[v])}" for v in sorted(finals, key=vertex_key))
 
 
+def output_timeline(trace: Trace) -> List[Tuple[Tick, Dict[VertexId, Any]]]:
+    """Piecewise-constant outputs: (tick, outputs holding from that tick on),
+    from tick 0 to the tick of the last ``OutputChanged`` record."""
+    timeline = [(0, dict(trace.initial_outputs))]
+    for ev in trace.events:
+        if ev.kind != OUTPUT_CHANGED:
+            continue
+        current = dict(timeline[-1][1])
+        current[ev.subject[0]] = ev.value
+        if ev.time == timeline[-1][0]:
+            timeline[-1] = (ev.time, current)
+        else:
+            timeline.append((ev.time, current))
+    return timeline
+
+
 def replay_outputs(trace: Trace, t: Tick) -> Dict[VertexId, Any]:
     """Output of every process once all events up to and including tick t
     have been processed."""
     if t > trace.horizon:
         raise DomainError(f"tick {t} is beyond the trace horizon {trace.horizon}")
     outputs = dict(trace.initial_outputs)
-    for ev in trace.events:
-        if ev.time > t:
+    for tick, current in output_timeline(trace):
+        if tick > t:
             break
-        if ev.kind == OUTPUT_CHANGED:
-            outputs[ev.subject[0]] = ev.value
+        outputs = current
     return outputs
 
 
@@ -173,11 +179,9 @@ class Protocol:
 
 
 def _is_noop(protocol, handler: str) -> bool:
-    """True when ``protocol`` inherits ``handler`` unchanged from the no-op on
-    ``Protocol``.  Only ``Protocol`` subclasses qualify: any other object
-    (a delegating proxy, say) may do anything in any handler."""
-    if not isinstance(protocol, Protocol):
-        return False
+    """True when ``protocol``'s ``handler`` is ``Protocol``'s own no-op method.
+    A function a proxy sets as its handler has no ``__func__``, so a proxy
+    may do anything in any handler."""
     return getattr(getattr(protocol, handler), "__func__", None) is getattr(Protocol, handler)
 
 

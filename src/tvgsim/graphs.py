@@ -312,17 +312,14 @@ def dominator_edges(g: StaticGraph, p: VertexId, m: FrozenSet[VertexId]) -> Froz
 
 
 @bounded_cache
-def _find_smds_cached(g: StaticGraph) -> Optional[FrozenSet[VertexId]]:
+def find_smds(g: StaticGraph) -> Optional[FrozenSet[VertexId]]:
+    """First minimal dominating set (in canonical order) passing the cut-set
+    characterization, or None when the graph admits no such set.  Bad input
+    raises on every call: the cache keeps no exception."""
+    if not is_connected(g):
+        raise DomainError("strong-MDS search requires a connected graph")
+    check_subset_scan(g.vertices)
     for candidate in _enumerate_mds_cached(g):
         if is_smds_via_cutsets(g, candidate):
             return candidate
     return None
-
-
-def find_smds(g: StaticGraph) -> Optional[FrozenSet[VertexId]]:
-    """First minimal dominating set (in canonical order) passing the cut-set
-    characterization, or None when the graph admits no such set."""
-    if not is_connected(g):
-        raise DomainError("strong-MDS search requires a connected graph")
-    check_subset_scan(g.vertices)
-    return _find_smds_cached(g)

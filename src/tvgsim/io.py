@@ -11,6 +11,10 @@ from .graphs import StaticGraph, make_edge
 from .tvg import PeriodicTail, PresenceSchedule, Tvg
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+")
+# The keys a scenario object, an edge entry and a periodic tail may hold.
+_SCENARIO_KEYS = frozenset({"vertices", "edges", "process_latency"})
+_EDGE_KEYS = frozenset({"u", "v", "latency", "intervals", "periodic"})
+_PERIODIC_KEYS = frozenset({"offset", "period", "duration"})
 
 
 def parse_graph_text(text: str) -> StaticGraph:
@@ -31,9 +35,9 @@ def parse_graph_text(text: str) -> StaticGraph:
             for v in ids:
                 if not _ID_RE.fullmatch(v):
                     raise ParseError(f"line {lineno}: invalid identifier {v!r}")
-            if len(set(ids)) != len(ids):
+            vertices = frozenset(ids)
+            if len(vertices) != len(ids):
                 raise ParseError(f"line {lineno}: duplicate vertex identifier")
-            vertices = ids
         elif line.startswith("edge:"):
             parts = line[len("edge:"):].split()
             if len(parts) != 2:
@@ -52,12 +56,16 @@ def parse_graph_text(text: str) -> StaticGraph:
             raise ParseError(f"line {lineno}: unrecognized line {raw!r}")
     if vertices is None:
         raise ParseError("missing 'vertices:' line")
-    return StaticGraph(frozenset(vertices), frozenset(edges))
+    return StaticGraph(vertices, frozenset(edges))
 
 
 def load_graph_file(path: str) -> StaticGraph:
     with open(path, encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"graph file is not UTF-8 text: {exc}") from None
+    return parse_graph_text(text)
 
 
 def tvg_to_dict(tvg: Tvg) -> dict:
@@ -87,13 +95,15 @@ def tvg_to_dict(tvg: Tvg) -> dict:
 def tvg_from_dict(obj: dict) -> Tvg:
     if not isinstance(obj, dict):
         raise ParseError("scenario must be a JSON object")
+    if not _SCENARIO_KEYS.issuperset(obj):
+        raise ParseError(f"unknown scenario key {min(obj.keys() - _SCENARIO_KEYS)!r}")
     raw_vertices = obj.get("vertices")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise ParseError("scenario needs a nonempty 'vertices' array")
     for v in raw_vertices:
         if not isinstance(v, str) or not _ID_RE.fullmatch(v):
             raise ParseError(f"invalid vertex identifier {v!r}")
-    declared = set(raw_vertices)
+    declared = frozenset(raw_vertices)
     if len(declared) != len(raw_vertices):
         raise ParseError("duplicate vertex identifier")
     raw_edges = obj.get("edges")
@@ -105,6 +115,8 @@ def tvg_from_dict(obj: dict) -> Tvg:
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, dict):
             raise ParseError(f"edges[{i}]: edge entry must be an object")
+        if not _EDGE_KEYS.issuperset(entry):
+            raise ParseError(f"edges[{i}]: unknown key {min(entry.keys() - _EDGE_KEYS)!r}")
         u, v = entry.get("u"), entry.get("v")
         # Declared ids are strings: test the type first, since a JSON array
         # or object is unhashable.
@@ -135,6 +147,8 @@ def tvg_from_dict(obj: dict) -> Tvg:
         if periodic is not None:
             if not isinstance(periodic, dict):
                 raise ParseError(f"edges[{i}]: periodic must be an object")
+            if not _PERIODIC_KEYS.issuperset(periodic):
+                raise ParseError(f"edges[{i}]: unknown periodic key {min(periodic.keys() - _PERIODIC_KEYS)!r}")
             fields = (periodic.get("offset"), periodic.get("period"), periodic.get("duration"))
             if tuple(map(type, fields)) != (int, int, int):
                 raise ParseError(f"edges[{i}]: periodic offset, period and duration must be integers")
@@ -157,7 +171,7 @@ def tvg_from_dict(obj: dict) -> Tvg:
         raise ParseError("process_latency must be a non-negative integer")
     # The edges are canonical and their endpoints declared, so the graph is
     # built directly rather than through StaticGraph.of.
-    graph = StaticGraph(frozenset(raw_vertices), frozenset(schedule))
+    graph = StaticGraph(declared, frozenset(schedule))
     return Tvg(graph, schedule, latency, pl)
 
 
@@ -171,6 +185,7 @@ def load_scenario(path: str) -> Tvg:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # JSON text is UTF-8, so undecodable bytes are invalid JSON too.
             raise ParseError(f"invalid JSON: {exc}") from None
     return tvg_from_dict(obj)

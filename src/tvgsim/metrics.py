@@ -9,15 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Tuple
+from typing import Callable, Dict, FrozenSet
 
-from .engine import (
-    EDGE_UP,
-    MESSAGE_DELIVERED,
-    OUTPUT_CHANGED,
-    SEND_INVOKED,
-    Trace,
-)
+from .engine import EDGE_UP, MESSAGE_DELIVERED, SEND_INVOKED, Trace, output_timeline
 from .errors import DomainError
 from .graphs import Edge, StaticGraph, VertexId, make_edge
 from .tvg import Tick
@@ -78,8 +72,6 @@ def nps_ug(g: StaticGraph) -> NpsFamily:
 
 
 def nps_broadcast(g: StaticGraph, origin: VertexId) -> NpsFamily:
-    if origin not in g.vertices:
-        raise DomainError(f"unknown vertex {origin!r}")
     elements = frozenset(
         frozenset({make_edge(origin, q)}) for q in g.neighbors(origin)
     )
@@ -90,8 +82,7 @@ def first_appearances(trace: Trace) -> Dict[Edge, Tick]:
     first: Dict[Edge, Tick] = {}
     for ev in trace.events:
         if ev.kind == EDGE_UP:
-            e = (ev.subject[0], ev.subject[1])
-            first.setdefault(e, ev.time)
+            first.setdefault(ev.subject, ev.time)
     return first
 
 
@@ -104,21 +95,6 @@ def starting_time(trace: Trace, nps: NpsFamily) -> Tick:
     if not candidates:
         raise DomainError("starting time undefined within horizon")
     return min(candidates)
-
-
-def output_timeline(trace: Trace) -> List[Tuple[Tick, Dict[VertexId, object]]]:
-    """Piecewise-constant outputs: (tick, outputs holding from that tick on)."""
-    timeline = [(0, dict(trace.initial_outputs))]
-    for ev in trace.events:
-        if ev.kind != OUTPUT_CHANGED:
-            continue
-        current = dict(timeline[-1][1])
-        current[ev.subject[0]] = ev.value
-        if ev.time == timeline[-1][0]:
-            timeline[-1] = (ev.time, current)
-        else:
-            timeline.append((ev.time, current))
-    return timeline
 
 
 def convergence_tick(trace: Trace, converged: OutputPredicate) -> Tick:

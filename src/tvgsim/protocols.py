@@ -108,22 +108,22 @@ class UgProtocol(Protocol):
         return nps_ug(graph)
 
 
-# Dominating-set layer.  Per-edge status counters: both endpoints of an edge
-# observe the same appearance/disappearance sequence, so (event_count, up)
-# pairs merge consistently by taking the higher count.
-EdgeStatus = Tuple[int, bool]
-
-
+# Dominating-set layer.  Per-edge status counters: each endpoint of an edge
+# sees its appearances and disappearances alternate, starting with an
+# appearance (normal-form occurrences never touch, and the process latency
+# shifts both alike), and both endpoints see the same sequence.  So an edge's
+# count of events seen says all there is: odd means last seen up, and counts
+# merge consistently by taking the higher.
 @dataclass(frozen=True)
 class MdstState:
     ug: UgState
     # Never mutated: every change builds a new dict, so a state (and the
     # payloads that share its dict) stays valid once handed out.
-    edge_status: Dict[Edge, EdgeStatus]
+    edge_status: Dict[Edge, int]
     in_mdst: bool
 
 
-def mdst_chosen_set(local_graph: StaticGraph, status: Dict[Edge, EdgeStatus], self_v: VertexId) -> FrozenSet[VertexId]:
+def mdst_chosen_set(local_graph: StaticGraph, status: Dict[Edge, int], self_v: VertexId) -> FrozenSet[VertexId]:
     """The dominating set the process currently commits to.
 
     A strong minimal dominating set of the known footprint wins when one
@@ -131,7 +131,7 @@ def mdst_chosen_set(local_graph: StaticGraph, status: Dict[Edge, EdgeStatus], se
     falls back to the first canonical minimal dominating set of its best
     estimate of the edges that keep reappearing, i.e. the footprint minus
     edges last seen down."""
-    down = frozenset(e for e, (_, up) in status.items() if not up)
+    down = frozenset(e for e, count in status.items() if count % 2 == 0)
     return _mdst_decision(local_graph, down, self_v)
 
 
@@ -147,10 +147,10 @@ def _mdst_decision(local_graph: StaticGraph, down: FrozenSet[Edge], self_v: Vert
     return enumerate_minimal_dominating_sets(est.component_of(self_v))[0]
 
 
-def _merge_status(mine: Dict[Edge, EdgeStatus], theirs: Dict[Edge, EdgeStatus]) -> Dict[Edge, EdgeStatus]:
+def _merge_status(mine: Dict[Edge, int], theirs: Dict[Edge, int]) -> Dict[Edge, int]:
     """``mine`` updated with every newer entry of ``theirs``; ``mine`` itself
     when nothing is newer."""
-    newer = {e: s for e, s in theirs.items() if e not in mine or s[0] > mine[e][0]}
+    newer = {e: count for e, count in theirs.items() if count > mine.get(e, 0)}
     return {**mine, **newer} if newer else mine
 
 
@@ -171,19 +171,18 @@ class MdstProtocol(UgProtocol):
         payload = (state.ug.local_graph, state.edge_status)
         return state, [(r, payload) for r in sorted(state.ug.known_neighbors - skip, key=vertex_key)]
 
-    def _observe(self, state: MdstState, ug_state: UgState, vertex, other, up: bool):
-        """Count one appearance (``up``) or disappearance of edge vertex-other."""
+    def _observe(self, state: MdstState, ug_state: UgState, vertex, other):
+        """Count one appearance or disappearance of edge vertex-other."""
         e = make_edge(vertex, other)
-        count = state.edge_status[e][0] if e in state.edge_status else 0
-        status = {**state.edge_status, e: (count + 1, up)}
+        status = {**state.edge_status, e: state.edge_status.get(e, 0) + 1}
         return self._publish(MdstState(ug_state, status, state.in_mdst), vertex)
 
     def on_edge_appear(self, state, vertex, other):
         ug_state, _ = super().on_edge_appear(state.ug, vertex, other)
-        return self._observe(state, ug_state, vertex, other, True)
+        return self._observe(state, ug_state, vertex, other)
 
     def on_edge_disappear(self, state, vertex, other):
-        return self._observe(state, state.ug, vertex, other, False)
+        return self._observe(state, state.ug, vertex, other)
 
     def on_receive(self, state, vertex, sender, payload):
         graph, their_status = payload
@@ -276,8 +275,7 @@ def get_protocol(name: str, origin: Optional[VertexId] = None) -> Protocol:
     if name not in PROTOCOLS:
         raise DomainError(f"unknown protocol {name!r}")
     cls = PROTOCOLS[name]
-    if not cls.takes_origin:
-        return cls()
-    if origin is None:
-        raise DomainError(f"{name} protocol requires an origin vertex")
-    return cls(origin)
+    if cls.takes_origin != (origin is not None):
+        need = "requires an" if cls.takes_origin else "takes no"
+        raise DomainError(f"{name} protocol {need} origin vertex")
+    return cls(origin) if cls.takes_origin else cls()

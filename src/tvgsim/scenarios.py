@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
-from .engine import OUTPUT_CHANGED, run
+from .engine import output_timeline, run
 from .errors import DomainError, GenerationError
 from .graphs import (
     Edge,
@@ -202,8 +202,7 @@ def _stabilize(tvg: Tvg, after: Tick, quiet: Tick) -> Tuple[FrozenSet[VertexId],
     horizon = after + 4 * quiet + 64
     while horizon <= 1_000_000:
         trace = run(tvg, MdstProtocol(), horizon)
-        changes = [ev.time for ev in trace.events if ev.kind == OUTPUT_CHANGED]
-        last = max(changes, default=0)
+        last = output_timeline(trace)[-1][0]
         if last + quiet < horizon:
             return _true_set(trace.final_outputs), max(last, after)
         horizon *= 2

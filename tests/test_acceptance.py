@@ -11,7 +11,7 @@
  6. the dominating-set protocol stabilizes on the strong set when one exists;
  7. the adversary perpetually destabilizes it when none exists;
  8. the retrying send primitive delivers exactly when an occurrence is long
-    enough;
+    enough, and each endpoint's edge callbacks alternate, appear first;
  9. traces and metrics are byte-identical across runs and interpreter
     invocations;
 10. earliest-arrival queries match an exhaustive time-expanded search;
@@ -19,6 +19,7 @@
 """
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -373,6 +374,45 @@ def _engine_corpus_digest():
 
 def test_engine_corpus_digest_is_pinned():
     assert _engine_corpus_digest() == ENGINE_CORPUS_DIGEST
+
+
+class _EdgeCallRecorder(Protocol):
+    """Records every edge callback as (vertex, other endpoint, appeared)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def initial_state(self, vertex):
+        return None
+
+    def on_edge_appear(self, state, vertex, other):
+        self.calls.append((vertex, other, True))
+        return state, []
+
+    def on_edge_disappear(self, state, vertex, other):
+        self.calls.append((vertex, other, False))
+        return state, []
+
+    def output(self, state):
+        return None
+
+
+def test_edge_callbacks_alternate_starting_with_appear():
+    # The premise of the mdst edge counters: at each endpoint, an edge's
+    # appear and disappear callbacks alternate, starting with an appearance,
+    # whatever the process latency.
+    cases = [(tvg, horizon) for tvg, _, horizon in _engine_corpus()]
+    cases += [(generate_random_cot(3 + seed % 6, 0.4, 0.3, 32, seed), 150) for seed in range(20)]
+    disappearances = 0
+    for (tvg, horizon), phi in itertools.product(cases, range(4)):
+        recorder = _EdgeCallRecorder()
+        run(replace(tvg, process_latency=phi), recorder, horizon)
+        last = {}
+        for vertex, other, appeared in recorder.calls:
+            assert appeared != last.get((vertex, other), False), (vertex, other, phi)
+            last[(vertex, other)] = appeared
+        disappearances += sum(1 for call in recorder.calls if not call[2])
+    assert disappearances > 0
 
 
 def test_traces_are_deterministic_across_runs_and_interpreters():

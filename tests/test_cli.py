@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -280,3 +282,42 @@ def test_main_keeps_no_state_between_calls(g1_file, c5_file, tmp_path, monkeypat
     monkeypatch.setattr(cli, "_parser", None)
     assert [call(argv) for argv in sequence] == fresh
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "."],
+        ["analyze", "latin1.txt"],
+        ["simulate", "latin1.json", "--protocol", "ug", "--horizon", "5"],
+        ["journey", "latin1.json", "--from", "a", "--to", "b"],
+        ["simulate", "g1.json", "--protocol", "ug", "--horizon", "5", "--trace", "."],
+        ["generate", "gk", "--k", "1", "-o", "."],
+    ],
+)
+def test_unreadable_or_unwritable_file_exits_1(tmp_path, monkeypatch, capsys, argv):
+    # A directory, or bytes that are not UTF-8, where a file is expected.
+    monkeypatch.chdir(tmp_path)
+    save_scenario(generate_gk(1), "g1.json")
+    for name in ("latin1.txt", "latin1.json"):
+        (tmp_path / name).write_bytes("vertices: a, b\n# caf\xe9\n".encode("latin-1"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def readme_cli_commands():
+    """The ``tvgsim`` lines of the README's CLI example block, as argv lists."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("tvgsim ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("graph.txt", "c5.txt"):
+        (tmp_path / name).write_text(C5_TEXT)
+    commands = readme_cli_commands()
+    assert {argv[0] for argv in commands} == {"analyze", "generate", "simulate", "journey", "adversary"}
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)

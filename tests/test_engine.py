@@ -1,4 +1,5 @@
 import heapq
+import itertools
 
 import pytest
 
@@ -10,15 +11,14 @@ from tvgsim.engine import (
     OUTPUT_CHANGED,
     SEND_INVOKED,
     Protocol,
-    deterministic_order,
     replay_outputs,
     run,
 )
 from tvgsim.errors import CapacityError, DomainError
-from tvgsim.graphs import StaticGraph
+from tvgsim.graphs import StaticGraph, edge_key, vertex_key
 from tvgsim.metrics import convergence_steps
 from tvgsim.protocols import FloodProtocol, MdstProtocol, UgProtocol
-from tvgsim.scenarios import ALWAYS, generate_gk, named_graph
+from tvgsim.scenarios import ALWAYS, generate_gk, generate_random_cot, named_graph
 from tvgsim.tvg import PeriodicTail, PresenceSchedule, Tvg
 
 
@@ -113,18 +113,47 @@ def test_process_latency_shifts_callbacks():
     assert changed.time == 3
 
 
-def test_same_tick_ordering():
-    g1 = generate_gk(1)
-    trace = run(g1, UgProtocol(), 30)
+# Phase of each event kind at one tick, in the order the engine docstring
+# states; a loss is recorded as its edge goes down.
+PHASE = {EDGE_DOWN: 0, MESSAGE_LOST: 0, EDGE_UP: 1, MESSAGE_DELIVERED: 2, SEND_INVOKED: 3, OUTPUT_CHANGED: 3}
+
+
+def same_tick_sequences(trace):
+    """Per tick, the sequences the stated order sorts: the phases; the
+    disappearing and the appearing edges by edge key; the delivered message
+    ids; the vertices of the callbacks (an output's vertex, a send's sender)
+    by vertex key."""
     by_tick = {}
-    for i, ev in enumerate(trace.events):
+    for ev in trace.events:
         by_tick.setdefault(ev.time, []).append(ev)
-    phase = {EDGE_DOWN: 0, EDGE_UP: 1, MESSAGE_DELIVERED: 2}
     for evs in by_tick.values():
-        topo = [ev for ev in evs if ev.kind in phase]
-        assert [phase[ev.kind] for ev in topo] == sorted(phase[ev.kind] for ev in topo)
-        ups = [ev.subject for ev in evs if ev.kind == EDGE_UP]
-        assert ups == sorted(ups)
+        yield {
+            "phase": [PHASE[ev.kind] for ev in evs],
+            "down": [edge_key(ev.subject) for ev in evs if ev.kind == EDGE_DOWN],
+            "up": [edge_key(ev.subject) for ev in evs if ev.kind == EDGE_UP],
+            "delivery": [int(ev.subject[0]) for ev in evs if ev.kind == MESSAGE_DELIVERED],
+            "callback": [
+                vertex_key(ev.subject[0] if ev.kind == OUTPUT_CHANGED else ev.subject[1])
+                for ev in evs
+                if ev.kind in (OUTPUT_CHANGED, SEND_INVOKED)
+            ],
+        }
+
+
+def test_same_tick_ordering():
+    gk = generate_gk(2)
+    rnd = generate_random_cot(7, 0.4, 0.3, 40, 3)
+    exercised = set()
+    for (tvg, protocol), phi in itertools.product(
+        ((gk, UgProtocol()), (rnd, UgProtocol()), (rnd, FloodProtocol("p1"))), (0, 2)
+    ):
+        tvg = Tvg(tvg.graph, tvg.schedule, tvg.latency, phi)
+        for sequences in same_tick_sequences(run(tvg, protocol, 120)):
+            for name, seq in sequences.items():
+                assert seq == sorted(seq), name
+                if len(set(seq)) > 1:
+                    exercised.add(name)
+    assert exercised == {"phase", "down", "up", "delivery", "callback"}
 
 
 def test_trace_serialization_and_replay():
@@ -174,12 +203,6 @@ def test_determinism_repeated_runs():
     # the seed argument has no effect on the engine
     c = run(g2, UgProtocol(), 50, seed=123).serialize()
     assert a == c
-
-
-def test_deterministic_order_contract():
-    contract = deterministic_order()
-    assert isinstance(contract, tuple)
-    assert any("lexicographic" in line for line in contract)
 
 
 def test_send_over_unknown_edge_rejected():

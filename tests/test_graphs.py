@@ -188,8 +188,14 @@ def test_capacity_guards():
     dense = named_graph("complete", 7)  # 21 edges
     with pytest.raises(CapacityError):
         list(enumerate_connected_spanning_subgraphs(dense))
-    with pytest.raises(CapacityError):
-        find_smds(big)
+    # The strong-set search is itself a cache, which keeps no exception: bad
+    # input raises on every call.
+    disconnected = StaticGraph.of(["a", "b"], [])
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            find_smds(big)
+        with pytest.raises(DomainError):
+            find_smds(disconnected)
 
 
 def test_spanning_subgraph_counts():

@@ -133,6 +133,9 @@ def test_scenario_dict_shape():
         (lambda d: d["edges"][0].update(intervals=[[3]]), "interval"),
         (lambda d: d["edges"][0].update(periodic={"offset": 0}), "periodic"),
         (lambda d: d.update(process_latency=-1), "process_latency"),
+        (lambda d: d.update(proces_latency=1), "unknown scenario key 'proces_latency'"),
+        (lambda d: d["edges"][1].update(interval=[[0, 4]]), "edges[1]: unknown key 'interval'"),
+        (lambda d: d["edges"][0]["periodic"].update(phase=1), "edges[0]: unknown periodic key 'phase'"),
     ],
 )
 def test_scenario_errors(mutate, fragment):
@@ -304,4 +307,13 @@ def test_load_scenario_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ParseError):
+        load_scenario(str(path))
+
+
+def test_loaders_reject_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("vertices: a, b\nedge: a b\n# caf\xe9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_graph_file(str(path))
+    with pytest.raises(ParseError, match="invalid JSON"):
         load_scenario(str(path))

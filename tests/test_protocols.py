@@ -94,6 +94,10 @@ def test_get_protocol():
         get_protocol("flood")
     with pytest.raises(DomainError):
         get_protocol("nope")
+    # A protocol built without an origin refuses one, as the CLI does.
+    for name in ("ug", "mdst"):
+        with pytest.raises(DomainError, match="takes no origin"):
+            get_protocol(name, origin="p0")
 
 
 def test_registry_feeds_cli_and_owns_problem_semantics():
@@ -148,8 +152,8 @@ def test_mdst_fallback_on_cycle_without_suppression():
 
 def test_mdst_chosen_set_respects_down_status():
     g = named_graph("cycle", 5)
-    # with p1-p2 reported down, the estimate is the path p2..p5-p1
-    status = {("p1", "p2"): (2, False)}
+    # with p1-p2 reported down (an even count), the estimate is the path p2..p5-p1
+    status = {("p1", "p2"): 2}
     chosen = mdst_chosen_set(g, status, "p1")
     assert chosen == mdst_chosen_set(g, status, "p4")  # agreement across processes
     est = StaticGraph(g.vertices, g.edges - {("p1", "p2")})
@@ -183,7 +187,7 @@ def _chosen_set_uncached(g, status, v):
     for m in _mds_in_order(comp):
         if is_smds_via_cutsets(comp, m):
             return m
-    down = {e for e, (_, up) in status.items() if not up}
+    down = {e for e, count in status.items() if count % 2 == 0}
     return next(_mds_in_order(_component(StaticGraph(comp.vertices, comp.edges - down), v)))
 
 
@@ -191,7 +195,7 @@ local_views = st.integers(1, 7).flatmap(
     lambda n: st.tuples(
         st.just([f"p{i}" for i in range(1, n + 1)]),
         st.sets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1])),
-        st.lists(st.tuples(st.integers(1, 9), st.booleans()), max_size=21),
+        st.lists(st.integers(1, 9), max_size=21),
         st.integers(1, n),
     )
 )
@@ -202,7 +206,8 @@ local_views = st.integers(1, 7).flatmap(
 def test_memoized_chosen_set_matches_uncached_recomputation(view):
     verts, pairs, counts, who = view
     g = StaticGraph.of(verts, [(f"p{a}", f"p{b}") for (a, b) in pairs])
-    # Status for a prefix of the edges: some up, some down, some never seen.
+    # Status for a prefix of the edges: some up (odd counts), some down
+    # (even counts), some never seen.
     status = dict(zip(g.sorted_edges(), counts))
     v = f"p{who}"
     expected = _chosen_set_uncached(g, status, v)
@@ -221,7 +226,7 @@ def test_cache_stats_repeat_and_stay_bounded():
         run(tvg, UgProtocol(), 200).serialize()
         stats.append(cache_stats())
     assert stats[0] == stats[1]
-    assert set(stats[0]) == {"_enumerate_mds_cached", "_find_smds_cached", "_mdst_decision", "_vertex_table"}
+    assert set(stats[0]) == {"_enumerate_mds_cached", "find_smds", "_mdst_decision", "_vertex_table"}
     for hits, misses, currsize, maxsize in stats[0].values():
         assert maxsize is not None and currsize <= maxsize
         assert misses > 0
