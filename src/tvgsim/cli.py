@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from . import graphs, io, metrics, scenarios
-from .engine import run
+from .engine import Protocol, run
 from .errors import NotConvergedError, ParseError, TvgsimError
 from .graphs import vertex_key
 from .protocols import PROTOCOLS, get_protocol
@@ -71,10 +71,12 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     tvg = io.load_scenario(args.scenario)
     # The problem is read off the registered class: the protocol object may
-    # be a wrapper that forwards only the handlers.
+    # be a wrapper that forwards only the handlers, which ``run`` does not
+    # check, so it is checked here; ``run`` checks a ``Protocol`` itself.
     problem = PROTOCOLS[args.protocol]
-    problem.check(tvg, args.origin)
     protocol = get_protocol(args.protocol, origin=args.origin)
+    if not isinstance(protocol, Protocol):
+        problem.check(tvg, args.origin)
     trace = run(tvg, protocol, args.horizon)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:

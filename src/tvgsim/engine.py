@@ -8,11 +8,15 @@ callbacks in the order they were scheduled).  The engine is
 seed-independent; the ``seed`` argument is reserved for randomized scenario
 generation elsewhere.
 
-The edge schedule is read lazily: the heap holds only each edge's next
-appearance, and firing an appearance pushes that occurrence's disappearance
+Pending work sits in a calendar: one bucket per tick, holding that tick's
+disappearances, appearances, deliveries and callbacks, and a heap holding
+each tick that has a bucket once.  A popped tick's bucket is run in the
+order above, each list sorted by its key (a stable sort for callbacks).
+The edge schedule is read lazily: the calendar holds only each edge's next
+appearance, and firing an appearance adds that occurrence's disappearance
 (when it is finite and before the horizon) and the edge's next appearance.
-The heap therefore holds O(edges + messages in flight + pending callbacks)
-entries whatever the horizon or the periods.
+So it holds O(edges + messages in flight + pending callbacks) entries
+whatever the horizon or the periods.
 
 A callback whose handler is ``Protocol``'s own no-op method (``on_init``,
 ``on_edge_appear``, ``on_edge_disappear``, inherited unchanged) is never
@@ -24,9 +28,9 @@ A ``Protocol`` subclass's ``check`` runs before the first event, on the
 scenario and the protocol's ``origin``; any other object is run unchecked.
 
 The trace is a list of ``TraceEvent`` records, one per event.  A record is a
-``NamedTuple``: immutable and hashable like a frozen dataclass, and about
-twice as cheap to build, which matters because a trace is recorded on every
-run.  An ``OutputChanged`` record holds the vertex and the raw output value.
+``NamedTuple``, immutable and hashable, built by ``tuple.__new__`` without
+the class's Python-level ``__new__``: a trace is recorded on every run.  An
+``OutputChanged`` record holds the vertex and the raw output value.
 Only the ``Trace`` formats outputs, with the protocol's ``format_output``,
 when it is serialized: metrics, replay and the adversary format nothing.
 ``output_timeline`` is the one replay of the ``OutputChanged`` records;
@@ -40,6 +44,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
@@ -53,11 +58,7 @@ MESSAGE_DELIVERED = "MessageDelivered"
 MESSAGE_LOST = "MessageLost"
 OUTPUT_CHANGED = "OutputChanged"
 
-# Processing phases at an equal tick, in the order the module docstring states.
-_PHASE_DOWN = 0
-_PHASE_UP = 1
-_PHASE_DELIVERY = 2
-_PHASE_CALLBACK = 3
+_by_vertex = itemgetter(0)  # a callback item starts with its vertex index
 
 @dataclass(slots=True)
 class Message:
@@ -192,7 +193,7 @@ def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:
         type(protocol).check(tvg, protocol.origin)
     verts = tvg.graph.sorted_vertices()
     edges = tvg.graph.sorted_edges()
-    # Heap keys: positions in the canonical vertex and edge orders.
+    # Sort keys: positions in the canonical vertex and edge orders.
     vertex_index = {v: i for i, v in enumerate(verts)}
     edge_index = {e: i for i, e in enumerate(edges)}
     edge_of: Dict[Tuple[VertexId, VertexId], Edge] = {}
@@ -207,41 +208,41 @@ def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:
     initial_outputs = {v: output(states[v]) for v in verts}
     current_output = dict(initial_outputs)
     events: List[TraceEvent] = []
+    record, new = events.append, tuple.__new__
 
-    seq = itertools.count()
-    heap: List[Tuple] = []
+    # The calendar: a bucket of (downs, ups, deliveries, callbacks) per tick
+    # with pending work, and that tick once on the heap.
+    heap: List[Tick] = []
+    buckets: Dict[Tick, Tuple[list, list, list, list]] = {}
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    # Callback items (handler, vertex, extra handler arguments), built once per
-    # edge endpoint; None where the handler is an inherited no-op.
+    def open_bucket(t: Tick):
+        heappush(heap, t)
+        b = buckets[t] = ([], [], [], [])
+        return b
+
+    # Callback items (vertex index, handler, vertex, extra handler arguments),
+    # built once per edge endpoint; None where the handler is an inherited no-op.
     def endpoint_items(handler: str, e: Edge):
         if _is_noop(protocol, handler):
             return None
         fn = getattr(protocol, handler)
-        return ((fn, e[0], (e[1],)), (fn, e[1], (e[0],)))
+        return ((vertex_index[e[0]], fn, e[0], (e[1],)), (vertex_index[e[1]], fn, e[1], (e[0],)))
 
     appear_items = {e: endpoint_items("on_edge_appear", e) for e in edges}
     disappear_items = {e: endpoint_items("on_edge_disappear", e) for e in edges}
 
-    def push_callbacks(t: Tick, items):
-        if items is not None and t < horizon:
-            for item in items:
-                heappush(heap, (t, _PHASE_CALLBACK, vertex_index[item[1]], next(seq), item))
-
-    # Lazy schedule: only each edge's next appearance is on the heap; its
-    # disappearance and the following appearance are pushed when it fires.
     occurrences = {e: tvg.schedule[e].occurrences() for e in edges}
 
     def push_next_up(e: Edge):
         occ = next(occurrences[e], None)
         if occ is not None and occ[0] < horizon:
-            heappush(heap, (occ[0], _PHASE_UP, edge_index[e], next(seq), (e, occ[1])))
+            (buckets.get(occ[0]) or open_bucket(occ[0]))[1].append((edge_index[e], e, occ[1]))
 
     for e in edges:
         push_next_up(e)
     if not _is_noop(protocol, "on_init"):
-        for v in verts:
-            heappush(heap, (0, _PHASE_CALLBACK, vertex_index[v], next(seq), (protocol.on_init, v, ())))
+        (buckets.get(0) or open_bucket(0))[3].extend((vertex_index[v], protocol.on_init, v, ()) for v in verts)
 
     up_end: Dict[Edge, Optional[Tick]] = {}  # current occurrence end while up
     pending: Dict[Edge, Dict[int, Message]] = {e: {} for e in edges}
@@ -253,53 +254,60 @@ def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:
         arrival = t + latency[m.edge]
         if end is None or arrival <= end:
             if arrival < horizon:
-                heappush(heap, (arrival, _PHASE_DELIVERY, m.id, next(seq), m))
+                (buckets.get(arrival) or open_bucket(arrival))[2].append((m.id, m))
         else:
             doomed[m.edge].append(m)
 
+    # A tick's phases run in the stated order.  Work added while a tick runs
+    # lies in a later tick, except callbacks at process latency 0, which land
+    # in this tick's callback list before that phase reads it; so the bucket
+    # stays in the calendar until the tick is done.
     while heap:
-        tick, phase, _, _, item = heappop(heap)
-        if phase == _PHASE_CALLBACK:
-            handler, v, args = item
+        tick = heappop(heap)
+        downs, ups, deliveries, callbacks = buckets[tick]
+        at = tick + phi  # when the callbacks this tick's events cause run
+        for _, e in sorted(downs):
+            record(new(TraceEvent, (tick, EDGE_DOWN, e, None)))
+            del up_end[e]
+            lost = doomed[e]
+            if lost:
+                for m in lost:
+                    record(new(TraceEvent, (tick, MESSAGE_LOST, (str(m.id),), None)))
+                doomed[e] = []
+            if at < horizon and disappear_items[e] is not None:
+                (buckets.get(at) or open_bucket(at))[3].extend(disappear_items[e])
+        for _, e, end in sorted(ups):
+            record(new(TraceEvent, (tick, EDGE_UP, e, None)))
+            up_end[e] = end
+            for m in pending[e].values():
+                attempt(m, tick)
+            if at < horizon and appear_items[e] is not None:
+                (buckets.get(at) or open_bucket(at))[3].extend(appear_items[e])
+            if end is not None and end < horizon:
+                (buckets.get(end) or open_bucket(end))[0].append((edge_index[e], e))
+            push_next_up(e)
+        for _, m in sorted(deliveries):
+            record(new(TraceEvent, (tick, MESSAGE_DELIVERED, (str(m.id),), None)))
+            del pending[m.edge][m.id]
+            if at < horizon:
+                item = (vertex_index[m.receiver], on_receive, m.receiver, (m.sender, m.payload))
+                (buckets.get(at) or open_bucket(at))[3].append(item)
+        for _, handler, v, args in sorted(callbacks, key=_by_vertex):
             state, sends = handler(states[v], v, *args)
             states[v] = state
             out = output(state)
             if out != current_output[v]:
                 current_output[v] = out
-                events.append(TraceEvent(tick, OUTPUT_CHANGED, (v,), out))
+                record(new(TraceEvent, (tick, OUTPUT_CHANGED, (v,), out)))
             for dest, payload in sends:
                 e = edge_of.get((v, dest))
                 if e is None:
                     raise DomainError(f"protocol sent over unknown edge {make_edge(v, dest)}")
                 m = Message(next(msg_ids), v, dest, e, payload)
-                events.append(TraceEvent(tick, SEND_INVOKED, (str(m.id), v, dest)))
+                record(new(TraceEvent, (tick, SEND_INVOKED, (str(m.id), v, dest), None)))
                 pending[e][m.id] = m
                 if e in up_end:
                     attempt(m, tick)
-        elif phase == _PHASE_UP:
-            e, end = item
-            events.append(TraceEvent(tick, EDGE_UP, e))
-            up_end[e] = end
-            for m in pending[e].values():
-                attempt(m, tick)
-            push_callbacks(tick + phi, appear_items[e])
-            if end is not None and end < horizon:
-                heappush(heap, (end, _PHASE_DOWN, edge_index[e], next(seq), e))
-            push_next_up(e)
-        elif phase == _PHASE_DOWN:
-            e = item
-            events.append(TraceEvent(tick, EDGE_DOWN, e))
-            up_end.pop(e, None)
-            lost = doomed[e]
-            if lost:
-                for m in lost:
-                    events.append(TraceEvent(tick, MESSAGE_LOST, (str(m.id),)))
-                doomed[e] = []
-            push_callbacks(tick + phi, disappear_items[e])
-        else:  # delivery
-            m = item
-            events.append(TraceEvent(tick, MESSAGE_DELIVERED, (str(m.id),)))
-            del pending[m.edge][m.id]
-            push_callbacks(tick + phi, ((on_receive, m.receiver, (m.sender, m.payload)),))
+        del buckets[tick]
 
     return Trace(events, initial_outputs, current_output, horizon, protocol.format_output)

@@ -185,7 +185,8 @@ def load_scenario(path: str) -> Tvg:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            # JSON text is UTF-8, so undecodable bytes are invalid JSON too.
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            # JSON text is UTF-8, so undecodable bytes are invalid JSON too;
+            # the decoder raises RecursionError on nesting deeper than it can.
             raise ParseError(f"invalid JSON: {exc}") from None
     return tvg_from_dict(obj)

@@ -4,8 +4,10 @@ import shlex
 
 import pytest
 
+from conftest import ForwardingProxy
 from tvgsim.cli import main
 from tvgsim.io import save_scenario
+from tvgsim.protocols import MdstProtocol
 from tvgsim.scenarios import ALWAYS, generate_gk, named_graph
 from tvgsim.tvg import Tvg
 
@@ -112,12 +114,20 @@ def test_simulate_flood_requires_origin(g1_file):
 
 @pytest.fixture
 def no_run(monkeypatch):
+    """Lets ``run`` make its pre-run check of a ``Protocol`` and refuses what
+    follows it: no process state is ever built."""
     from tvgsim import cli
+
+    real_run = cli.run
 
     def refuse(*args, **kwargs):
         raise AssertionError("the run should not start")
 
-    monkeypatch.setattr(cli, "run", refuse)
+    def checked_only(tvg, protocol, horizon, seed=0):
+        monkeypatch.setattr(protocol, "initial_state", refuse)
+        return real_run(tvg, protocol, horizon, seed)
+
+    monkeypatch.setattr(cli, "run", checked_only)
 
 
 def test_simulate_flood_unknown_origin_fails_before_run(g1_file, capsys, no_run):
@@ -141,6 +151,27 @@ def test_simulate_mdst_capacity_fails_before_run(tmp_path, capsys, no_run):
     assert main(argv) == 2
     assert "capped at 12 vertices" in capsys.readouterr().err
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("proxied", [False, True])
+def test_simulate_checks_the_protocol_once(g1_file, tmp_path, monkeypatch, capsys, proxied):
+    from tvgsim import cli
+
+    calls = []
+    check = MdstProtocol.check
+    monkeypatch.setattr(MdstProtocol, "check", staticmethod(lambda tvg, origin: calls.append(origin) or check(tvg, origin)))
+    if proxied:
+        get_protocol = cli.get_protocol
+        monkeypatch.setattr(cli, "get_protocol", lambda *a, **k: ForwardingProxy(get_protocol(*a, **k)))
+    assert main(["simulate", g1_file, "--protocol", "mdst", "--horizon", "40"]) == 0
+    assert calls == [None]
+    # A component past the cap still fails before the run, after one check.
+    g = named_graph("path", 13)
+    scenario = tmp_path / "p13.json"
+    save_scenario(Tvg(g, {e: ALWAYS for e in g.edges}, {e: 1 for e in g.edges}), str(scenario))
+    assert main(["simulate", str(scenario), "--protocol", "mdst", "--horizon", "40"]) == 2
+    assert "capped at 12 vertices" in capsys.readouterr().err
+    assert calls == [None, None]
 
 
 def test_simulate_flood(g1_file, capsys):
@@ -304,6 +335,16 @@ def test_unreadable_or_unwritable_file_exits_1(tmp_path, monkeypatch, capsys, ar
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["simulate", "deep.json", "--protocol", "ug", "--horizon", "5"],
+                                     ["journey", "deep.json", "--from", "a", "--to", "b"]])
+def test_deeply_nested_json_exits_1(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100000)
+    assert main(command) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid JSON")
 
 
 def readme_cli_commands():

@@ -246,6 +246,30 @@ def test_heap_does_not_grow_with_horizon(monkeypatch):
     assert marks[1] <= 4
 
 
+def pending_ticks_high_water(monkeypatch, tvg, protocol, horizon):
+    """Most ticks with a pending bucket at once during ``run``.  Each such
+    tick is on the heap exactly once, which the spy checks at every push."""
+    mark = 0
+    real_push = heapq.heappush
+
+    def push(heap, tick):
+        nonlocal mark
+        assert tick not in heap
+        real_push(heap, tick)
+        mark = max(mark, len(heap))
+
+    with monkeypatch.context() as m:
+        m.setattr(heapq, "heappush", push)
+        run(tvg, protocol, horizon)
+    return mark
+
+
+def test_pending_buckets_do_not_grow_with_horizon(monkeypatch):
+    tvg = two_vertex(PresenceSchedule.of([], PeriodicTail(0, 4, 1)))
+    marks = [pending_ticks_high_water(monkeypatch, tvg, FloodProtocol("a"), h) for h in (10**3, 10**5)]
+    assert marks[0] == marks[1] <= 4
+
+
 class CountingProxy:
     """Delegates to a protocol without subclassing Protocol, counting calls."""
 
