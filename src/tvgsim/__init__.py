@@ -1,7 +1,7 @@
 """Deterministic simulation and analysis of distributed algorithms on
 time-varying graphs."""
 
-from .engine import Protocol, Trace, TraceEvent, replay_outputs, run
+from .engine import Protocol, Trace, TraceEvent, output_timeline, run
 from .errors import (
     CapacityError,
     DomainError,
@@ -12,15 +12,15 @@ from .errors import (
 )
 from .graphs import (
     StaticGraph,
+    cache_stats,
+    clear_caches,
     diameter,
-    enumerate_connected_spanning_subgraphs,
     enumerate_minimal_dominating_sets,
     find_smds,
     is_connected,
     is_cut_set,
     is_dominating,
     is_minimal_dominating,
-    is_smds_bruteforce,
     is_smds_via_cutsets,
     make_edge,
     smds_witness,
@@ -46,8 +46,6 @@ from .tvg import (
     eventual_underlying_graph,
     is_connected_over_time,
     restrict,
-    snapshots,
-    underlying_graph,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .engine import Protocol, run
 from .errors import NotConvergedError, ParseError, TvgsimError
 from .graphs import vertex_key
 from .protocols import PROTOCOLS, get_protocol
-from .tvg import earliest_arrival, underlying_graph
+from .tvg import earliest_arrival
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,11 +69,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    tvg = io.load_scenario(args.scenario)
     # The problem is read off the registered class: the protocol object may
     # be a wrapper that forwards only the handlers, which ``run`` does not
     # check, so it is checked here; ``run`` checks a ``Protocol`` itself.
     problem = PROTOCOLS[args.protocol]
+    takes_origin = problem.takes_origin
+    if takes_origin and not args.origin or not takes_origin and args.origin is not None:
+        need = "required" if takes_origin else "not accepted"
+        print(f"error: --origin is {need} with --protocol {args.protocol}", file=sys.stderr)
+        return EXIT_USAGE
+    tvg = io.load_scenario(args.scenario)
     protocol = get_protocol(args.protocol, origin=args.origin)
     if not isinstance(protocol, Protocol):
         problem.check(tvg, args.origin)
@@ -86,7 +91,7 @@ def cmd_simulate(args) -> int:
     if not problem.converged(tvg, trace.final_outputs):
         raise NotConvergedError("not converged within horizon")
     if args.metrics:
-        nps = problem.nps(underlying_graph(tvg), args.origin)
+        nps = problem.nps(tvg.graph, args.origin)
         final = trace.final_outputs
         report = metrics.convergence_steps(trace, nps, lambda outs: outs == final)
         print(json.dumps(report.to_json_dict(), sort_keys=True))
@@ -198,12 +203,6 @@ def main(argv: Optional[list] = None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "simulate":
-        takes_origin = PROTOCOLS[args.protocol].takes_origin
-        if takes_origin and not args.origin or not takes_origin and args.origin is not None:
-            need = "required" if takes_origin else "not accepted"
-            print(f"error: --origin is {need} with --protocol {args.protocol}", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

@@ -32,10 +32,9 @@ The trace is a list of ``TraceEvent`` records, one per event.  A record is a
 the class's Python-level ``__new__``: a trace is recorded on every run.  An
 ``OutputChanged`` record holds the vertex and the raw output value.
 Only the ``Trace`` formats outputs, with the protocol's ``format_output``,
-when it is serialized: metrics, replay and the adversary format nothing.
-``output_timeline`` is the one replay of the ``OutputChanged`` records;
-``replay_outputs``, the metrics and the adversary all read outputs over time
-from it.
+when it is serialized: the metrics and the adversary format nothing.
+``output_timeline`` is the one replay of the ``OutputChanged`` records; the
+metrics and the adversary read outputs over time from it.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ class Trace:
     events: List[TraceEvent]
     initial_outputs: Dict[VertexId, Any]
     final_outputs: Dict[VertexId, Any]
-    horizon: Tick
     format_output: Callable[[Any], str]
 
     def serialize(self) -> str:
@@ -117,19 +115,6 @@ def output_timeline(trace: Trace) -> List[Tuple[Tick, Dict[VertexId, Any]]]:
         else:
             timeline.append((ev.time, current))
     return timeline
-
-
-def replay_outputs(trace: Trace, t: Tick) -> Dict[VertexId, Any]:
-    """Output of every process once all events up to and including tick t
-    have been processed."""
-    if t > trace.horizon:
-        raise DomainError(f"tick {t} is beyond the trace horizon {trace.horizon}")
-    outputs = dict(trace.initial_outputs)
-    for tick, current in output_timeline(trace):
-        if tick > t:
-            break
-        outputs = current
-    return outputs
 
 
 class Protocol:
@@ -310,4 +295,4 @@ def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:
                     attempt(m, tick)
         del buckets[tick]
 
-    return Trace(events, initial_outputs, current_output, horizon, protocol.format_output)
+    return Trace(events, initial_outputs, current_output, protocol.format_output)

@@ -30,8 +30,7 @@ from .errors import CapacityError, DomainError
 VertexId = str
 Edge = Tuple[VertexId, VertexId]
 
-# Exponential oracles are for desk-scale verification only.
-SUBGRAPH_EDGE_CAP = 16
+# The exponential subset scan is for desk-scale graphs only.
 SUBSET_VERTEX_CAP = 12
 # Entries per memo.  A `simulate` benchmark pass fills the largest with about
 # 300; a longer mdst run evicts the least recently used.
@@ -67,7 +66,9 @@ def vertex_key(v: VertexId):
 
 
 def edge_key(e: Edge):
-    return (vertex_key(e[0]), vertex_key(e[1]))
+    """The canonical edge order: each endpoint's ``vertex_key``, flattened."""
+    u, v = e
+    return (len(u), u, len(v), v)
 
 
 def make_edge(u: VertexId, v: VertexId) -> Edge:
@@ -94,8 +95,7 @@ class StaticGraph:
         return sorted(self.vertices, key=vertex_key)
 
     def sorted_edges(self):
-        # edge_key flattened into one tuple: the same order, one key call per edge.
-        return sorted(self.edges, key=lambda e: (len(e[0]), e[0], len(e[1]), e[1]))
+        return sorted(self.edges, key=edge_key)
 
     @cached_property
     def adjacency(self) -> Dict[VertexId, Tuple[VertexId, ...]]:
@@ -258,28 +258,6 @@ def enumerate_minimal_dominating_sets(g: StaticGraph):
         raise DomainError("no dominating sets on an empty vertex set")
     check_subset_scan(g.vertices)
     return list(_enumerate_mds_cached(g))
-
-
-def enumerate_connected_spanning_subgraphs(g: StaticGraph) -> Iterator[StaticGraph]:
-    """Every spanning subgraph (V, E') with E' subset of E connected on all of V."""
-    if not is_connected(g):
-        raise DomainError("spanning subgraphs require a connected graph")
-    edges = g.sorted_edges()
-    if len(edges) > SUBGRAPH_EDGE_CAP:
-        raise CapacityError(
-            f"spanning-subgraph enumeration capped at {SUBGRAPH_EDGE_CAP} edges, got {len(edges)}"
-        )
-    n = len(g.vertices)
-    for size in range(max(n - 1, 0), len(edges) + 1):
-        for combo in itertools.combinations(edges, size):
-            sub = g.subgraph_with_edges(combo)
-            if is_connected(sub):
-                yield sub
-
-
-def is_smds_bruteforce(g: StaticGraph, m: Iterable[VertexId]) -> bool:
-    ms = frozenset(m)
-    return all(is_minimal_dominating(sub, ms) for sub in enumerate_connected_spanning_subgraphs(g))
 
 
 def is_smds_via_cutsets(g: StaticGraph, m: Iterable[VertexId]) -> bool:

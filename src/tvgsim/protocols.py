@@ -33,7 +33,7 @@ from .graphs import (
     vertex_key,
 )
 from .metrics import nps_broadcast, nps_ug
-from .tvg import eventual_underlying_graph, underlying_graph
+from .tvg import eventual_underlying_graph
 
 
 @bounded_cache
@@ -100,7 +100,7 @@ class UgProtocol(Protocol):
 
     @staticmethod
     def converged(tvg, outputs):
-        target = underlying_graph(tvg)
+        target = tvg.graph
         return all(out == target for out in outputs.values())
 
     @staticmethod

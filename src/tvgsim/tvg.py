@@ -1,4 +1,4 @@
-"""Time-varying graph model: presence schedules, journeys, reachability.
+"""Time-varying graph model: presence schedules, earliest arrival, reachability.
 
 Time is discrete (non-negative integer ticks).  Presence is described by
 half-open intervals [start, end); an optional periodic tail makes an edge
@@ -8,8 +8,8 @@ period = duration = 1 and represents "present forever from offset".
 
 ``PresenceSchedule.of`` builds the normal form and the constructor rejects
 any other, so a schedule that exists is normal.  ``occurrences(after)`` is
-the one reader of that form: presence, windows, first appearances, masks
-and snapshots are all short walks over the maximal occurrences it yields.
+the one reader of that form: windows and masks are short walks over the
+maximal occurrences it yields.
 """
 
 from __future__ import annotations
@@ -125,16 +125,6 @@ class PresenceSchedule:
             yield (s, s + tail.duration)
             s += tail.period
 
-    def first_appearance(self) -> Tick:
-        for (s, _) in self.occurrences():
-            return s
-        raise DomainError("empty schedule has no first appearance")
-
-    def present_at(self, t: Tick) -> bool:
-        for (s, _) in self.occurrences(t):
-            return s <= t
-        return False
-
     def earliest_window(self, t: Tick, duration: Tick) -> Optional[Tick]:
         """Smallest t' >= t such that the schedule is present at t' and, when
         duration >= 1, throughout the half-open window [t', t' + duration)."""
@@ -171,11 +161,6 @@ class PresenceSchedule:
 
 
 @dataclass(frozen=True)
-class Journey:
-    hops: Tuple[Tuple[Edge, Tick], ...]
-
-
-@dataclass(frozen=True)
 class Tvg:
     graph: StaticGraph
     schedule: Mapping[Edge, PresenceSchedule]
@@ -197,42 +182,9 @@ class Tvg:
             raise DomainError("process latency must be non-negative")
 
 
-def presence(tvg: Tvg, e: Tuple[VertexId, VertexId], t: Tick) -> bool:
-    edge = make_edge(*e)
-    if edge not in tvg.schedule:
-        raise DomainError(f"unknown edge {edge}")
-    return tvg.schedule[edge].present_at(t)
-
-
-def underlying_graph(tvg: Tvg) -> StaticGraph:
-    return tvg.graph
-
-
 def eventual_underlying_graph(tvg: Tvg) -> StaticGraph:
     recurrent = frozenset(e for e in tvg.graph.edges if tvg.schedule[e].recurrent)
     return StaticGraph(tvg.graph.vertices, recurrent)
-
-
-def is_journey(tvg: Tvg, j: Journey, source: VertexId, target: VertexId) -> bool:
-    if source not in tvg.graph.vertices or target not in tvg.graph.vertices:
-        return False
-    if not j.hops:
-        return source == target
-    at = source
-    prev_arrival = 0
-    for (raw_edge, dep) in j.hops:
-        e = make_edge(*raw_edge)
-        if e not in tvg.graph.edges:
-            return False
-        if at not in e:
-            return False
-        if dep < prev_arrival:
-            return False
-        if not tvg.schedule[e].present_at(dep):
-            return False
-        at = e[1] if e[0] == at else e[0]
-        prev_arrival = dep + tvg.latency[e]
-    return at == target
 
 
 def earliest_arrival(
@@ -252,7 +204,8 @@ def earliest_arrival(
         raise DomainError(f"unknown vertex {source!r}")
     if target not in tvg.graph.vertices:
         raise DomainError(f"unknown vertex {target!r}")
-    after = max(after, 0)
+    if after < 0:
+        raise DomainError(f"departure tick {after} is negative")
     if source == target:
         return after
     adjacency, schedule, latency = tvg.graph.adjacency, tvg.schedule, tvg.latency
@@ -309,25 +262,3 @@ def restrict(
         latency={e: tvg.latency[e] for e in kept},
         process_latency=tvg.process_latency,
     )
-
-
-def snapshots(tvg: Tvg, horizon: Tick) -> List[Tuple[Tick, StaticGraph]]:
-    """Topological-event times within [0, horizon) and the static snapshot
-    holding from each event time to the next."""
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
-    ticks = {0}
-    for sched in tvg.schedule.values():
-        for (s, e) in sched.occurrences():
-            if s >= horizon:
-                break
-            ticks.add(s)
-            if e is not None and e < horizon:
-                ticks.add(e)
-    out: List[Tuple[Tick, StaticGraph]] = []
-    for t in sorted(ticks):
-        present = frozenset(e for e in tvg.graph.edges if tvg.schedule[e].present_at(t))
-        snap = StaticGraph(tvg.graph.vertices, present)
-        if not out or out[-1][1] != snap:
-            out.append((t, snap))
-    return out

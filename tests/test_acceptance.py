@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nx_to_static
+from oracles import enumerate_connected_spanning_subgraphs, is_smds_bruteforce, present_at
 from tvgsim.engine import (
     MESSAGE_DELIVERED,
     MESSAGE_LOST,
@@ -45,11 +46,9 @@ from tvgsim.errors import DomainError
 from tvgsim.graphs import (
     StaticGraph,
     diameter,
-    enumerate_connected_spanning_subgraphs,
     enumerate_minimal_dominating_sets,
     find_smds,
     is_minimal_dominating,
-    is_smds_bruteforce,
     is_smds_via_cutsets,
     make_edge,
 )
@@ -67,7 +66,6 @@ from tvgsim.tvg import (
     Tvg,
     earliest_arrival,
     eventual_underlying_graph,
-    underlying_graph,
 )
 
 # --- shared corpora --------------------------------------------------------
@@ -137,7 +135,7 @@ def test_star_strong_set_is_center(size):
 
 def test_ug_converges_to_underlying_graph_within_diameter_steps(ug_corpus):
     for tvg, trace in ug_corpus:
-        ug = underlying_graph(tvg)
+        ug = tvg.graph
         assert all(out == ug for out in trace.final_outputs.values())
         done = lambda outs: all(out == ug for out in outs.values())
         report = convergence_steps(trace, nps_ug(ug), done)
@@ -149,7 +147,7 @@ def test_ug_converges_to_underlying_graph_within_diameter_steps(ug_corpus):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_shortcut_chain_lower_bound(k):
     tvg = generate_gk(k)
-    ug = underlying_graph(tvg)
+    ug = tvg.graph
     trace = run(tvg, UgProtocol(), 20 + 10 * k)
     done = lambda outs: all(out == ug for out in outs.values())
     report = convergence_steps(trace, nps_ug(ug), done)
@@ -162,7 +160,7 @@ def test_shortcut_chain_lower_bound(k):
 def test_ug_outputs_monotone_and_bounded(ug_corpus):
     checked = 0
     for tvg, trace in ug_corpus:
-        ug = underlying_graph(tvg)
+        ug = tvg.graph
         last = {}
         for ev in trace.events:
             if ev.kind != OUTPUT_CHANGED:
@@ -187,7 +185,7 @@ def test_mdst_stabilizes_on_strong_set():
         n = 4 + seed % 5  # 4..8
         extra = 0.0 if seed % 2 else 0.3
         tvg = generate_random_cot(n, extra, 0.0, 16, seed)
-        ug = underlying_graph(tvg)
+        ug = tvg.graph
         chosen = find_smds(ug)
         if chosen is None:
             continue
@@ -314,7 +312,7 @@ def _corpus_digest():
         h.update(trace.serialize().encode())
     for k in (1, 2, 3):
         tvg = generate_gk(k)
-        ug = underlying_graph(tvg)
+        ug = tvg.graph
         trace = run(tvg, UgProtocol(), 20 + 10 * k)
         h.update(trace.serialize().encode())
         done = lambda outs: all(out == ug for out in outs.values())
@@ -449,7 +447,7 @@ def _time_expanded_oracle(tvg, source, target, after, deliverable, horizon):
             z = tvg.latency[e]
             sched = tvg.schedule[e]
             window = range(t, t + z) if deliverable else [t]
-            if not all(sched.present_at(x) for x in window):
+            if not all(present_at(sched, x) for x in window):
                 continue
             u, v = e
             for (a, b) in ((u, v), (v, u)):

@@ -214,6 +214,13 @@ def test_journey(g1_file, capsys):
     assert main(["journey", g1_file, "--from", "p0", "--to", "nope"]) == 2
 
 
+def test_journey_rejects_negative_after(g1_file, capsys):
+    assert main(["journey", g1_file, "--from", "p0", "--to", "p0", "--after", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "negative" in captured.err
+
+
 def test_journey_none(tmp_path, capsys):
     from tvgsim.graphs import StaticGraph
     from tvgsim.tvg import PresenceSchedule

@@ -11,7 +11,7 @@ from tvgsim.engine import (
     OUTPUT_CHANGED,
     SEND_INVOKED,
     Protocol,
-    replay_outputs,
+    output_timeline,
     run,
 )
 from tvgsim.errors import CapacityError, DomainError
@@ -163,12 +163,11 @@ def test_trace_serialization_and_replay():
     assert text.endswith("\n")
     body, final = text.split("FINAL\n")
     assert len(final.strip().splitlines()) == 4
-    # replay at the horizon matches the final outputs
-    assert replay_outputs(trace, 30) == trace.final_outputs
-    # replay before anything happened returns the initial outputs
-    assert replay_outputs(trace, 0) != trace.final_outputs
-    with pytest.raises(DomainError):
-        replay_outputs(trace, 31)
+    # the replay starts at tick 0, short of the final outputs, and ends on them
+    timeline = output_timeline(trace)
+    assert timeline[0][0] == 0
+    assert timeline[0][1] != trace.final_outputs
+    assert timeline[-1][1] == trace.final_outputs
 
 
 class CountingUg(UgProtocol):
@@ -184,7 +183,7 @@ def test_outputs_are_formatted_only_at_serialization():
     tvg = generate_gk(2)
     protocol = CountingUg()
     trace = run(tvg, protocol, 50)
-    replay_outputs(trace, 25)
+    output_timeline(trace)
     final = trace.final_outputs
     convergence_steps(trace, UgProtocol.nps(tvg.graph, None), lambda outs: outs == final)
     assert protocol.formatted == 0

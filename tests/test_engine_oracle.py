@@ -151,7 +151,7 @@ def heap_run(tvg: Tvg, protocol, horizon: Tick) -> Trace:
             del pending[m.edge][m.id]
             push_callbacks(tick + phi, ((on_receive, m.receiver, (m.sender, m.payload)),))
 
-    return Trace(events, initial_outputs, current_output, horizon, protocol.format_output)
+    return Trace(events, initial_outputs, current_output, protocol.format_output)
 
 
 def make_protocol(name: str, tvg: Tvg, proxied: bool = False):

@@ -18,7 +18,6 @@ from tvgsim.metrics import (
 )
 from tvgsim.protocols import FloodProtocol, UgProtocol
 from tvgsim.scenarios import generate_gk, named_graph
-from tvgsim.tvg import underlying_graph
 
 
 def test_nps_family_validation():
@@ -61,7 +60,7 @@ def test_communication_step_requires_deliveries():
 def test_starting_time_g1():
     g1 = generate_gk(1)
     trace = run(g1, UgProtocol(), 30)
-    ug = underlying_graph(g1)
+    ug = g1.graph
     # all underlying edges, including the shortcut seen only at tick 0, must
     # have appeared: the path edges arrive at tick 1
     assert starting_time(trace, nps_ug(ug)) == 1
@@ -73,12 +72,12 @@ def test_starting_time_undefined():
     g1 = generate_gk(1)
     trace = run(g1, UgProtocol(), 1)  # horizon before the path edges appear
     with pytest.raises(DomainError):
-        starting_time(trace, nps_ug(underlying_graph(g1)))
+        starting_time(trace, nps_ug(g1.graph))
 
 
 def test_output_timeline_and_convergence():
     g1 = generate_gk(1)
-    ug = underlying_graph(g1)
+    ug = g1.graph
     trace = run(g1, UgProtocol(), 30)
     timeline = output_timeline(trace)
     assert timeline[0][0] == 0
@@ -91,7 +90,7 @@ def test_output_timeline_and_convergence():
 
 def test_convergence_steps_report():
     g1 = generate_gk(1)
-    ug = underlying_graph(g1)
+    ug = g1.graph
     trace = run(g1, UgProtocol(), 30)
     done = lambda outs: all(out == ug for out in outs.values())
     report = convergence_steps(trace, nps_ug(ug), done)
@@ -113,7 +112,7 @@ def test_convergence_clamped_to_starting_time():
     # flooding from p2 can converge before the path edges all appear; measured
     # steps never go negative
     g1 = generate_gk(1)
-    ug = underlying_graph(g1)
+    ug = g1.graph
     trace = run(g1, FloodProtocol("p2"), 30)
     report = convergence_steps(trace, nps_ug(ug), lambda outs: all(outs.values()))
     assert report.convergence_steps >= 0

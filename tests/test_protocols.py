@@ -27,7 +27,7 @@ from tvgsim.protocols import (
     mdst_chosen_set,
 )
 from tvgsim.scenarios import ALWAYS, generate_gk, generate_random_cot, named_graph
-from tvgsim.tvg import Tvg, underlying_graph
+from tvgsim.tvg import Tvg
 
 
 def static_tvg(g, latency=1):
@@ -120,7 +120,7 @@ def test_ug_converges_on_static_graphs(name, size):
 def test_ug_outputs_grow_monotonically():
     g2 = generate_gk(2)
     trace = run(g2, UgProtocol(), 60)
-    ug = underlying_graph(g2)
+    ug = g2.graph
     last = {}
     for ev in trace.events:
         if ev.kind != OUTPUT_CHANGED:

@@ -79,9 +79,9 @@ def test_dead_names_detector():
     assert dead_names(defining, readers, exempt={"dead"}) == [("m.py", "Y")]
 
 
-def test_no_dead_names():
-    # __init__.py re-exports the public interface, which stays whether or not
-    # this repository calls it; its imports do not count as uses.
+def _package_and_readers(reader_dirs):
+    """The package's modules other than ``__init__.py``, the names it exports,
+    and every other ``*.py`` source under ``reader_dirs``."""
     root = SRC.parent.parent
     package = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     init = package.pop("__init__.py")
@@ -89,8 +89,21 @@ def test_no_dead_names():
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     readers = {
         str(p): p.read_text(encoding="utf-8")
-        for d in ("src", "tests", "bench")
+        for d in reader_dirs
         for p in (root / d).rglob("*.py")
         if p.name != "__init__.py"
     }
+    return package, public, readers
+
+
+def test_no_dead_names():
+    # __init__.py re-exports the public interface, which stays whether or not
+    # this repository calls it; its imports do not count as uses.
+    package, public, readers = _package_and_readers(("src", "tests", "bench"))
+    assert dead_names(package, readers, exempt=public) == []
+
+
+def test_no_test_only_names():
+    # A name that only tests read belongs in tests/, unless it is exported.
+    package, public, readers = _package_and_readers(("src", "bench"))
     assert dead_names(package, readers, exempt=public) == []

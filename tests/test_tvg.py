@@ -4,22 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import present_at
 from tvgsim.errors import DomainError
 from tvgsim.graphs import StaticGraph
 from tvgsim.scenarios import ALWAYS, generate_gk
 from tvgsim.tvg import (
-    Journey,
     PeriodicTail,
     PresenceSchedule,
     Tvg,
     earliest_arrival,
     eventual_underlying_graph,
     is_connected_over_time,
-    is_journey,
-    presence,
     restrict,
-    snapshots,
-    underlying_graph,
 )
 
 # --- schedule strategies ---------------------------------------------------
@@ -79,13 +75,6 @@ def test_schedule_normalization():
         PresenceSchedule.of([(-1, 3)])
 
 
-def test_first_appearance():
-    assert PresenceSchedule.of([(4, 6)]).first_appearance() == 4
-    assert PresenceSchedule.of([], PeriodicTail(9, 3, 1)).first_appearance() == 9
-    with pytest.raises(DomainError):
-        PresenceSchedule.of([]).first_appearance()
-
-
 @settings(max_examples=150, deadline=None)
 @given(intervals_st, tail_st, st.integers(0, 80))
 def test_present_at_matches_occurrences(intervals, tail, t):
@@ -98,7 +87,7 @@ def test_present_at_matches_occurrences(intervals, tail, t):
             expected = expected or a <= t
         if b is None:
             break
-    assert s.present_at(t) == expected
+    assert present_at(s, t) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,7 +108,7 @@ def test_earliest_window_matches_scan(intervals, tail, t, duration):
     def window_ok(c):
         # transit window is half-open: the edge may close exactly at c+duration
         span = range(c, c + duration) if duration else [c]
-        return all(s.present_at(x) for x in span)
+        return all(present_at(s, x) for x in span)
 
     scan = next((c for c in range(t, t + 90) if window_ok(c)), None)
     got = s.earliest_window(t, duration)
@@ -136,7 +125,7 @@ def test_minus_pointwise(intervals, tail, start, length, t):
     end = None if length is None else start + length
     masked = s.minus(start, end)
     in_mask = start <= t and (end is None or t < end)
-    assert masked.present_at(t) == (s.present_at(t) and not in_mask)
+    assert present_at(masked, t) == (present_at(s, t) and not in_mask)
 
 
 def test_minus_preserves_recurrence_for_bounded_masks():
@@ -189,7 +178,7 @@ def test_tvg_rejects_unnormalized_schedule(intervals, tail):
 
 def test_underlying_graphs():
     g1 = generate_gk(1)
-    assert underlying_graph(g1).edges == frozenset(
+    assert g1.graph.edges == frozenset(
         {("p0", "p1"), ("p0", "p2"), ("p1", "p2"), ("p2", "p3")}
     )
     # shortcut edges appear only once: not part of the eventual graph
@@ -197,16 +186,8 @@ def test_underlying_graphs():
         {("p0", "p1"), ("p1", "p2"), ("p2", "p3")}
     )
     assert is_connected_over_time(g1)
-    assert presence(g1, ("p0", "p2"), 0)
-    assert not presence(g1, ("p0", "p2"), 1)
-
-
-def test_presence_on_unknown_edge():
-    g1 = generate_gk(1)
-    assert presence(g1, ("p2", "p0"), 0)
-    with pytest.raises(DomainError) as exc:
-        presence(g1, ("p0", "p3"), 0)
-    assert "unknown edge ('p0', 'p3')" in str(exc.value)
+    assert present_at(g1.schedule[("p0", "p2")], 0)
+    assert not present_at(g1.schedule[("p0", "p2")], 1)
 
 
 def test_not_connected_over_time():
@@ -219,20 +200,6 @@ def test_not_connected_over_time():
     assert not is_connected_over_time(tvg)
 
 
-def test_is_journey():
-    g1 = generate_gk(1)
-    good = Journey(hops=((("p0", "p1"), 1), (("p1", "p2"), 2), (("p2", "p3"), 3)))
-    assert is_journey(g1, good, "p0", "p3")
-    # departing before the previous hop arrived
-    bad = Journey(hops=((("p0", "p1"), 1), (("p1", "p2"), 1)))
-    assert not is_journey(g1, bad, "p0", "p2")
-    # edge absent at departure
-    bad2 = Journey(hops=((("p0", "p2"), 2),))
-    assert not is_journey(g1, bad2, "p0", "p2")
-    assert is_journey(g1, Journey(hops=()), "p0", "p0")
-    assert not is_journey(g1, Journey(hops=()), "p0", "p1")
-
-
 def test_earliest_arrival_fixtures():
     g1 = generate_gk(1)
     assert earliest_arrival(g1, "p0", "p2", after=0) == 1  # shortcut at tick 0
@@ -241,6 +208,13 @@ def test_earliest_arrival_fixtures():
     assert earliest_arrival(g1, "p0", "p0", after=7) == 7
     with pytest.raises(DomainError):
         earliest_arrival(g1, "p0", "nope")
+
+
+@pytest.mark.parametrize("source,target", [("p0", "p0"), ("p0", "p3")])
+def test_earliest_arrival_rejects_negative_departure(source, target):
+    with pytest.raises(DomainError) as exc:
+        earliest_arrival(generate_gk(1), source, target, after=-5)
+    assert "negative" in str(exc.value)
 
 
 def test_earliest_arrival_waits_for_presence():
@@ -262,14 +236,3 @@ def test_restrict_drops_emptied_edges():
     with pytest.raises(DomainError):
         restrict(g1, [([("p0", "p3")], (0, 5))])
 
-
-def test_snapshots():
-    g1 = generate_gk(1)
-    snaps = snapshots(g1, 10)
-    assert [t for (t, _) in snaps] == [0, 1]
-    assert snaps[0][1].edges == frozenset({("p0", "p2")})
-    assert snaps[1][1].edges == frozenset(
-        {("p0", "p1"), ("p1", "p2"), ("p2", "p3")}
-    )
-    with pytest.raises(DomainError):
-        snapshots(g1, 0)
