@@ -1,7 +1,7 @@
 """Deterministic simulation and analysis of distributed algorithms on
 time-varying graphs."""
 
-from .engine import Protocol, Trace, TraceEvent, output_timeline, run
+from .engine import Protocol, Simulation, Trace, TraceEvent, output_timeline, run
 from .errors import (
     CapacityError,
     DomainError,

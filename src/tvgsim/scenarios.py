@@ -1,7 +1,13 @@
 """Scenario constructors: the lower-bound chain family, random
 connected-over-time instances, named static graph families, and the adaptive
 adversary that destabilizes the dominating-set protocol on graphs admitting
-no strong minimal dominating set."""
+no strong minimal dominating set.
+
+The adversary extends its schedule round by round, and one forward
+``Simulation`` follows it: each stabilization advances it through the same
+absolute doubling horizons a run restarted from tick 0 would use, so it
+reports the same set and tick, and each round forks and amends it where the
+schedule changes.  Its work is linear in rounds."""
 
 from __future__ import annotations
 
@@ -9,7 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
-from .engine import output_timeline, run
+from . import engine
+from .engine import OUTPUT_CHANGED, Simulation
 from .errors import DomainError, GenerationError
 from .graphs import (
     Edge,
@@ -196,22 +203,41 @@ def _true_set(outputs: Dict[VertexId, object]) -> FrozenSet[VertexId]:
     return frozenset(v for v, out in outputs.items() if out)
 
 
-def _stabilize(tvg: Tvg, after: Tick, quiet: Tick) -> Tuple[FrozenSet[VertexId], Tick]:
-    """Simulate until the true-set has been constant for the quiet window;
-    returns the stable set and the tick of its last change."""
+def _stabilize(sim: Simulation, quiet: Tick) -> Tuple[FrozenSet[VertexId], Tick, Simulation]:
+    """Advance ``sim`` from ``after = sim.now`` until its outputs have been
+    constant for the quiet window before a horizon, the horizons being
+    after + 4 * quiet + 64 and its doublings.  Returns the stable true-set,
+    the tick of its last change (``after`` when it has not changed since),
+    and a fork of ``sim`` at the tick after that change."""
+    after = sim.now
+    events = sim.trace.events
+    sim.advance(after + 1)
+    checkpoint, last = sim.fork(), after
     horizon = after + 4 * quiet + 64
     while horizon <= 1_000_000:
-        trace = run(tvg, MdstProtocol(), horizon)
-        last = output_timeline(trace)[-1][0]
+        # One occupied tick at a time, so that a change can be forked right after.
+        t = sim.next_tick
+        while t is not None and t < horizon:
+            seen = len(events)
+            sim.advance(t + 1)
+            if any(ev.kind == OUTPUT_CHANGED for ev in events[seen:]):
+                checkpoint, last = sim.fork(), t
+            t = sim.next_tick
         if last + quiet < horizon:
-            return _true_set(trace.final_outputs), max(last, after)
+            return _true_set(checkpoint.trace.final_outputs), last, checkpoint
         horizon *= 2
     raise GenerationError("dominating-set output did not stabilize within the search horizon")
 
 
 def adversary_destabilize(underlying: StaticGraph, max_rounds: int) -> Tuple[Tvg, InstabilityReport]:
     """Adaptively extend an all-edges-present schedule so that the shipped
-    dominating-set protocol changes its stabilized output every round."""
+    dominating-set protocol changes its stabilized output every round.
+
+    One simulation runs forward through the rounds.  Each round it
+    stabilizes, then a probe forked at the tick after the stable set's last
+    change has the witness's dominator edges suppressed from that tick on;
+    once the probe restabilizes, the edges return at the tick after its last
+    change, and the next round continues from there."""
     if max_rounds < 0:
         raise DomainError(f"round count must be non-negative, got {max_rounds}")
     if not is_connected(underlying):
@@ -226,20 +252,28 @@ def adversary_destabilize(underlying: StaticGraph, max_rounds: int) -> Tuple[Tvg
         {e: 1 for e in underlying.edges},
         0,
     )
+    sim = Simulation(tvg, MdstProtocol())
     rounds: List[AdversaryRound] = []
-    watch = 0
     for i in range(max_rounds):
-        stable, eta = _stabilize(tvg, watch, quiet)
+        stable, eta, probe = _stabilize(sim, quiet)
         witness = smds_witness(underlying, stable)
         if witness is None:
             raise GenerationError(f"stabilized set {sorted(stable)} is unexpectedly strong")
         suppressed = dominator_edges(underlying, witness, stable)
         start = eta + 1
-        probe = restrict(tvg, [(sorted(suppressed, key=edge_key), (start, None))])
-        new_set, alpha = _stabilize(probe, start, quiet)
-        tvg = restrict(tvg, [(sorted(suppressed, key=edge_key), (start, alpha + 1))])
+        edges = sorted(suppressed, key=edge_key)
+        for e in edges:
+            probe.amend([e], tvg.schedule[e].minus(start, None))
+        new_set, alpha, sim = _stabilize(probe, quiet)
+        tvg = restrict(tvg, [(edges, (start, alpha + 1))])
+        for e in edges:
+            sim.amend([e], tvg.schedule[e])
         rounds.append(
             AdversaryRound(i, stable, witness, suppressed, new_set, eta, alpha)
         )
-        watch = alpha + 1
     return tvg, InstabilityReport(tuple(rounds))
+
+
+# The adversary no longer calls ``run``, but the benchmark's tracer wraps
+# ``scenarios.run`` when it installs, so the name stays bound.
+run = engine.run

@@ -128,7 +128,8 @@ class PresenceSchedule:
     def earliest_window(self, t: Tick, duration: Tick) -> Optional[Tick]:
         """Smallest t' >= t such that the schedule is present at t' and, when
         duration >= 1, throughout the half-open window [t', t' + duration)."""
-        t = max(t, 0)
+        if t < 0:
+            raise DomainError(f"tick {t} is negative")
         tail = self.tail
         for (s, e) in self.occurrences(t):
             c = max(s, t)  # c < e, as the occurrence ends after t

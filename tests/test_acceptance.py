@@ -9,7 +9,8 @@
     length;
  5. underlying-graph outputs grow monotonically;
  6. the dominating-set protocol stabilizes on the strong set when one exists;
- 7. the adversary perpetually destabilizes it when none exists;
+ 7. the adversary perpetually destabilizes it when none exists, on C_5,
+    K_3 and every connected graph on <= 6 vertices without a strong set;
  8. the retrying send primitive delivers exactly when an occurrence is long
     enough, and each endpoint's edge callbacks alternate, appear first;
  9. traces and metrics are byte-identical across runs and interpreter
@@ -33,7 +34,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nx_to_static
-from oracles import enumerate_connected_spanning_subgraphs, is_smds_bruteforce, present_at
+from oracles import (
+    adversary_by_restarts,
+    enumerate_connected_spanning_subgraphs,
+    is_smds_bruteforce,
+    present_at,
+)
 from tvgsim.engine import (
     MESSAGE_DELIVERED,
     MESSAGE_LOST,
@@ -211,6 +217,24 @@ def test_adversary_changes_the_stable_set_every_round(name, size):
     assert len(report.rounds) == 5
     for r in report.rounds:
         assert r.new_set != r.stable_set
+
+
+def test_adversary_destabilizes_every_census_graph_without_a_strong_set():
+    """The necessity half of the paper's condition on the whole census."""
+    graphs = [g for g in _connected_atlas() if find_smds(g) is None]
+    assert len(graphs) == 110
+    for g in graphs:
+        tvg, report = adversary_destabilize(g, 5)
+        *_, oracle = adversary_by_restarts(g, 5)
+        assert (tvg, report) == oracle
+        ticks = []
+        for r in report.rounds:
+            assert r.new_set != r.stable_set
+            assert is_minimal_dominating(g, r.stable_set)
+            # Not always minimal on g itself: only without the suppressed edges.
+            assert is_minimal_dominating(g.subgraph_with_edges(g.edges - r.suppressed_edges), r.new_set)
+            ticks += [r.stabilized_at, r.restabilized_at]
+        assert ticks == sorted(set(ticks)), ticks
 
 
 def test_adversary_refuses_strong_graphs():

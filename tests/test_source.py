@@ -35,11 +35,16 @@ def test_no_unused_imports(path):
 
 
 def defined_names(source: str):
-    """Module-level functions, classes and constants, dunders excluded."""
+    """Module-level functions, classes and constants, and the methods (and
+    properties) of module-level classes, dunders excluded."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                item.name for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
         elif isinstance(node, ast.Assign):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -77,6 +82,21 @@ def test_dead_names_detector():
     readers = {**defining, "t.py": "import m\nm.X\nprint(getattr(m, 'C'))\nY = 3\n"}
     assert dead_names(defining, readers) == [("m.py", "Y"), ("m.py", "dead")]
     assert dead_names(defining, readers, exempt={"dead"}) == [("m.py", "Y")]
+
+
+def test_dead_names_detector_sees_methods():
+    defining = {"m.py": (
+        "class C:\n"
+        "    def __init__(self): self.go()\n"
+        "    def go(self): pass\n"
+        "    def idle(self): pass\n"
+        "    @property\n"
+        "    def size(self): return 0\n"
+        "    def hook(self): pass\n"
+        "C().size\n"
+    )}
+    readers = {**defining, "t.py": "getattr(obj, 'hook')\n"}
+    assert dead_names(defining, readers) == [("m.py", "idle")]
 
 
 def _package_and_readers(reader_dirs):

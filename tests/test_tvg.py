@@ -118,6 +118,12 @@ def test_earliest_window_matches_scan(intervals, tail, t, duration):
         assert scan is None
 
 
+def test_earliest_window_rejects_negative_tick():
+    with pytest.raises(DomainError) as exc:
+        PresenceSchedule.of([(0, 5)]).earliest_window(-3, 0)
+    assert "negative" in str(exc.value)
+
+
 @settings(max_examples=150, deadline=None)
 @given(intervals_st, tail_st, st.integers(0, 50), st.one_of(st.none(), st.integers(1, 30)), st.integers(0, 90))
 def test_minus_pointwise(intervals, tail, start, length, t):
