@@ -118,7 +118,7 @@ def cmd_generate_random(args) -> int:
         n=args.nodes,
         extra_edge_probability=args.extra,
         missing_fraction=args.missing,
-        horizon=args.span,
+        span=args.span,
         seed=args.seed,
     )
     io.save_scenario(tvg, args.output)

@@ -11,10 +11,19 @@ A ``Simulation`` is a run that stops and resumes.  ``advance(until)``
 processes every event with tick < ``until``, and ``run(tvg, p, h)`` is
 ``Simulation(tvg, p).advance(h)``, so advancing in steps gives the trace of
 one run.  ``fork()`` copies a simulation at its current tick.
-``amend(edges, schedule)`` changes edge schedules from the current tick on,
-as if the run had been on the amended scenario from tick 0: the new
+``amend(edge, schedule)`` changes an edge's schedule from the current tick
+on, as if the run had been on the amended scenario from tick 0: the new
 schedule must agree with the old one before that tick.  The adaptive
 adversary forks and amends one simulation instead of restarting runs.
+
+A send is retried until it succeeds.  Each attempt books the message's
+delivery at its arrival, one latency later, and the edge's ledger records
+that arrival.  A message's fate is decided once, when its edge goes down:
+every message still in flight with a later arrival is lost there, in
+message-id order, and waits for the edge's next appearance.  A delivery
+whose message no longer has that tick as its recorded arrival is a stale
+booking of a lost attempt, and does nothing.  So ``amend`` only moves an
+occurrence's end.
 
 Pending work sits in a calendar: one bucket per tick, holding that tick's
 disappearances, appearances, deliveries and callbacks, and a heap holding
@@ -23,9 +32,9 @@ order above, each list sorted by its key (a stable sort for callbacks).
 The edge schedule is read lazily: the calendar holds only each edge's next
 appearance, and firing an appearance adds that occurrence's disappearance
 (when it is finite) and the edge's next appearance.  So it holds
-O(edges + messages in flight + pending callbacks) entries whatever the
-horizon or the periods.  Work due at or after ``until`` stays in the
-calendar for the next ``advance``.
+O(edges + bookings + pending callbacks) entries whatever the horizon or
+the periods; a booking lies at most one latency ahead.  Work due at or
+after ``until`` stays in the calendar for the next ``advance``.
 
 A callback whose handler is ``Protocol``'s own no-op method (``on_init``,
 ``on_edge_appear``, ``on_edge_disappear``, inherited unchanged) is never
@@ -237,10 +246,10 @@ class Simulation:
         self._heap: List[Tick] = []
         self._buckets: Dict[Tick, Tuple[list, list, list, list]] = {}
         self._occurrences: Dict[Edge, Iterator[Tuple[Tick, Optional[Tick]]]] = {}
-        self._up_end: Dict[Edge, Optional[Tick]] = {}  # current occurrence end while up
-        self._pending: Dict[Edge, Dict[int, Message]] = {e: {} for e in edges}
-        # Messages that arrive after their occurrence ends, as (arrival, message).
-        self._doomed: Dict[Edge, List[Tuple[Tick, Message]]] = {e: [] for e in edges}
+        self._up: set = set()  # the edges that are up
+        # The ledger: each edge's undelivered messages in id order, as
+        # (message, arrival of its attempt in flight, None while it waits).
+        self._pending: Dict[Edge, Dict[int, Tuple[Message, Optional[Tick]]]] = {e: {} for e in edges}
         self._last_id = 0
         for e in edges:
             self._seat(e, tvg.schedule[e])
@@ -274,36 +283,26 @@ class Simulation:
             raise DomainError("horizon must be positive")
         if until < self.now:
             raise DomainError(f"cannot advance to tick {until}: the simulation is at tick {self.now}")
-        heap, buckets = self._heap, self._buckets
-        # Resolved at call time, so a spy on heapq sees every push.
-        heappush, heappop = heapq.heappush, heapq.heappop
+        heap, buckets, bucket, heappop = self._heap, self._buckets, self._bucket, heapq.heappop
         latency, phi, edge_of = self._latency, self._phi, self._edge_of
         vertex_index, edge_index = self._vertex_index, self._edge_index
         appear_items, disappear_items = self._appear_items, self._disappear_items
-        states, up_end, pending, doomed = self._states, self._up_end, self._pending, self._doomed
+        states, up, pending = self._states, self._up, self._pending
         output, on_receive = self._protocol.output, self._protocol.on_receive
         current_output = self.trace.final_outputs
         record, new = self.trace.events.append, tuple.__new__
         occurrences = self._occurrences
         msg_id = self._last_id
 
-        def open_bucket(t: Tick):
-            heappush(heap, t)
-            b = buckets[t] = ([], [], [], [])
-            return b
-
         def push_next_up(e: Edge):
             occ = next(occurrences[e], None)
             if occ is not None:
-                (buckets.get(occ[0]) or open_bucket(occ[0]))[1].append((edge_index[e], e, occ[1]))
+                (buckets.get(occ[0]) or bucket(occ[0]))[1].append((edge_index[e], e, occ[1]))
 
         def attempt(m: Message, t: Tick):
-            end = up_end[m.edge]
             arrival = t + latency[m.edge]
-            if end is None or arrival <= end:
-                (buckets.get(arrival) or open_bucket(arrival))[2].append((m.id, m))
-            else:
-                doomed[m.edge].append((arrival, m))
+            pending[m.edge][m.id] = (m, arrival)
+            (buckets.get(arrival) or bucket(arrival))[2].append((m.id, m))
 
         # A tick's phases run in the stated order.  Work added while a tick
         # runs lies in a later tick, except callbacks at process latency 0,
@@ -315,29 +314,32 @@ class Simulation:
             at = tick + phi  # when the callbacks this tick's events cause run
             for _, e in sorted(downs):
                 record(new(TraceEvent, (tick, EDGE_DOWN, e, None)))
-                del up_end[e]
-                lost = doomed[e]
-                if lost:
-                    for _, m in lost:
-                        record(new(TraceEvent, (tick, MESSAGE_LOST, (str(m.id),), None)))
-                    doomed[e] = []
+                up.remove(e)
+                # Every message of the edge is in flight; one due after now is lost.
+                waiting = pending[e]
+                for i, (m, arrival) in waiting.items():
+                    if arrival > tick:
+                        record(new(TraceEvent, (tick, MESSAGE_LOST, (str(i),), None)))
+                        waiting[i] = (m, None)
                 if disappear_items[e] is not None:
-                    (buckets.get(at) or open_bucket(at))[3].extend(disappear_items[e])
+                    (buckets.get(at) or bucket(at))[3].extend(disappear_items[e])
             for _, e, end in sorted(ups):
                 record(new(TraceEvent, (tick, EDGE_UP, e, None)))
-                up_end[e] = end
-                for m in pending[e].values():
+                up.add(e)
+                for m, _ in pending[e].values():  # every one is waiting
                     attempt(m, tick)
                 if appear_items[e] is not None:
-                    (buckets.get(at) or open_bucket(at))[3].extend(appear_items[e])
+                    (buckets.get(at) or bucket(at))[3].extend(appear_items[e])
                 if end is not None:
-                    (buckets.get(end) or open_bucket(end))[0].append((edge_index[e], e))
+                    (buckets.get(end) or bucket(end))[0].append((edge_index[e], e))
                 push_next_up(e)
-            for _, m in sorted(deliveries):
-                record(new(TraceEvent, (tick, MESSAGE_DELIVERED, (str(m.id),), None)))
-                del pending[m.edge][m.id]
+            for i, m in sorted(deliveries):
+                if pending[m.edge][i][1] != tick:
+                    continue  # a stale booking: this attempt was lost
+                record(new(TraceEvent, (tick, MESSAGE_DELIVERED, (str(i),), None)))
+                del pending[m.edge][i]
                 item = (vertex_index[m.receiver], on_receive, m.receiver, (m.sender, m.payload))
-                (buckets.get(at) or open_bucket(at))[3].append(item)
+                (buckets.get(at) or bucket(at))[3].append(item)
             for _, handler, v, args in sorted(callbacks, key=_by_vertex):
                 state, sends = handler(states[v], v, *args)
                 states[v] = state
@@ -352,9 +354,10 @@ class Simulation:
                     msg_id += 1
                     m = Message(msg_id, v, dest, e, payload)
                     record(new(TraceEvent, (tick, SEND_INVOKED, (str(msg_id), v, dest), None)))
-                    pending[e][msg_id] = m
-                    if e in up_end:
+                    if e in up:
                         attempt(m, tick)
+                    else:
+                        pending[e][msg_id] = (m, None)
             del buckets[tick]
 
         self._last_id = msg_id
@@ -363,9 +366,9 @@ class Simulation:
         return self.trace
 
     def fork(self) -> "Simulation":
-        """An independent copy at ``now``.  Protocol states, messages and
-        calendar items are immutable and shared; every container is copied,
-        and each edge's occurrence iterator is re-seated on its schedule."""
+        """An independent copy at ``now``.  States, messages, ledger entries
+        and calendar items are immutable and shared; every container is
+        copied, and each edge's occurrence iterator is re-seated."""
         twin = copy.copy(self)
         twin.schedule = dict(self.schedule)
         twin._states = dict(self._states)
@@ -376,59 +379,36 @@ class Simulation:
         # The calendar holds each edge's first occurrence starting at or
         # after now; the iterator resumes after it.
         twin._occurrences = {e: _next_up(s, self.now)[1] for e, s in self.schedule.items()}
-        twin._up_end = dict(self._up_end)
+        twin._up = set(self._up)
         twin._pending = {e: dict(p) for e, p in self._pending.items()}
-        twin._doomed = {e: list(d) for e, d in self._doomed.items()}
         return twin
 
-    def amend(self, edges, schedule: PresenceSchedule) -> None:
-        """Give each of ``edges`` ``schedule`` from ``now`` on.  It must agree
-        with the edge's schedule before ``now``.  When the occurrence in
-        progress gets a new end, its disappearance moves there and every
-        message attempted during it is decided again: delivered at its
-        arrival if that is within the new end, lost at the end otherwise."""
+    def amend(self, edge, schedule: PresenceSchedule) -> None:
+        """Give ``edge`` ``schedule`` from ``now`` on.  It must agree with the
+        edge's schedule before ``now``.  When the occurrence in progress gets
+        a new end, its disappearance moves there; the messages in flight are
+        decided when it comes, as in any run."""
         now = self.now
-        for raw in edges:
-            e = make_edge(*raw)
-            if e not in self.schedule:
-                raise DomainError(f"unknown edge {e}")
-            old = self.schedule[e]
-            if old.minus(now, None) != schedule.minus(now, None):
-                raise DomainError(f"the new schedule of {e} differs from the old one before tick {now}")
-            self.schedule[e] = schedule
-            index = self._edge_index[e]
-            occ, _ = _next_up(old, now)
-            if occ is not None:
-                self._buckets[occ[0]][1].remove((index, e, occ[1]))
-            self._seat(e, schedule)
-            if e in self._up_end:
-                # Up at now means present at now - 1, under both schedules.
-                self._move_end(e, index, next(schedule.occurrences(now - 1))[1])
-
-    def _move_end(self, e: Edge, index: int, end: Optional[Tick]) -> None:
-        """Give ``e``'s occurrence in progress the new ``end``."""
-        old_end = self._up_end[e]
-        if end == old_end:
-            return
-        self._up_end[e] = end
-        if old_end is not None:
-            self._buckets[old_end][0].remove((index, e))
-        if end is not None:
-            self._bucket(end)[0].append((index, e))
-        # Every attempt so far was made before now, so its delivery, if any,
-        # lies within one latency of now.
-        attempts = self._doomed[e]
-        self._doomed[e] = []
-        for t in range(self.now, self.now + self._latency[e]):
-            b = self._buckets.get(t)
-            if b is not None:
-                attempts.extend((t, m) for _, m in b[2] if m.edge == e)
-                b[2][:] = [d for d in b[2] if d[1].edge != e]
-        for arrival, m in sorted(attempts, key=lambda a: a[1].id):
-            if end is None or arrival <= end:
-                self._bucket(arrival)[2].append((m.id, m))
-            else:
-                self._doomed[e].append((arrival, m))
+        e = make_edge(*edge)
+        if e not in self.schedule:
+            raise DomainError(f"unknown edge {e}")
+        old = self.schedule[e]
+        if old.minus(now, None) != schedule.minus(now, None):
+            raise DomainError(f"the new schedule of {e} differs from the old one before tick {now}")
+        self.schedule[e] = schedule
+        index = self._edge_index[e]
+        occ, _ = _next_up(old, now)
+        if occ is not None:
+            self._buckets[occ[0]][1].remove((index, e, occ[1]))
+        self._seat(e, schedule)
+        if e in self._up:
+            # Up at now means present at now - 1, under both schedules.
+            old_end = next(old.occurrences(now - 1))[1]
+            end = next(schedule.occurrences(now - 1))[1]
+            if old_end is not None:
+                self._buckets[old_end][0].remove((index, e))
+            if end is not None:
+                self._bucket(end)[0].append((index, e))
 
 
 def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:

@@ -276,8 +276,8 @@ def smds_witness(g: StaticGraph, m: Iterable[VertexId]) -> Optional[VertexId]:
 
 
 def _first_witness(g: StaticGraph, ms: FrozenSet[VertexId]) -> Optional[VertexId]:
-    # Neither public name calls the other, so a count of calls to one of
-    # them counts only its own callers.
+    # No public name calls another, so a count of calls to one of them
+    # counts only its own callers.
     for p in sorted(g.vertices - ms, key=vertex_key):
         if not is_cut_set(g, dominator_edges(g, p, ms)):
             return p
@@ -298,6 +298,6 @@ def find_smds(g: StaticGraph) -> Optional[FrozenSet[VertexId]]:
         raise DomainError("strong-MDS search requires a connected graph")
     check_subset_scan(g.vertices)
     for candidate in _enumerate_mds_cached(g):
-        if is_smds_via_cutsets(g, candidate):
+        if _first_witness(g, candidate) is None:
             return candidate
     return None

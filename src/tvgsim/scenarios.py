@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Tuple
 
 from . import engine
 from .engine import OUTPUT_CHANGED, Simulation
@@ -114,20 +114,18 @@ def generate_random_cot(
     n: int,
     extra_edge_probability: float,
     missing_fraction: float,
-    horizon: Tick,
+    span: Tick,
     seed: int,
 ) -> Tvg:
-    """Random connected-over-time scenario, reproducible from the seed.
-
-    All underlying edges appear within [0, horizon); recurrent edges carry
-    periodic tails with duration >= latency so retried sends always get a
-    sufficient occurrence."""
+    """Random connected-over-time scenario, reproducible from the seed: a
+    random connected graph, a random set of eventually missing edges that
+    leaves it connected, then ``random_schedule`` over both."""
     if n < 2:
         raise DomainError("n must be >= 2")
     if not (0.0 <= extra_edge_probability <= 1.0) or not (0.0 <= missing_fraction <= 1.0):
         raise DomainError("probabilities must lie in [0,1]")
-    if horizon < 8:
-        raise DomainError("horizon must be >= 8")
+    if span < 8:
+        raise DomainError("span must be >= 8")
     rng = random.Random(seed)
     verts = [f"p{i}" for i in range(1, n + 1)]
     edges = {make_edge(verts[i], verts[rng.randrange(i)]) for i in range(1, n)}
@@ -154,11 +152,22 @@ def generate_random_cot(
         raise GenerationError(
             f"could not mark {target} eventual-missing edges while keeping the recurrent graph connected"
         )
+    tvg = random_schedule(underlying, missing, span, rng)
+    if not is_connected_over_time(tvg):
+        raise GenerationError("generated scenario is not connected over time")
+    return tvg
 
-    span = horizon
+
+def random_schedule(graph: StaticGraph, missing: AbstractSet[Edge], span: Tick, rng: random.Random) -> Tvg:
+    """Random latencies and schedules over ``graph``, drawn from ``rng``.
+
+    Every edge appears within [0, span).  An edge of ``missing`` has one or
+    two short finite occurrences in the first half; every other edge is
+    recurrent, its periodic tail's duration at least its latency, so a
+    retried send always gets a sufficient occurrence."""
     latency = {}
     schedule = {}
-    for e in sorted(edges, key=edge_key):
+    for e in graph.sorted_edges():
         z = rng.randint(1, 3)
         latency[e] = z
         if e in missing:
@@ -177,10 +186,7 @@ def generate_random_cot(
                 start = rng.randint(0, offset - 2)
                 intervals.append((start, rng.randint(start + 1, offset - 1)))
             schedule[e] = PresenceSchedule.of(intervals, PeriodicTail(offset, period, duration))
-    tvg = Tvg(underlying, schedule, latency, 0)
-    if not is_connected_over_time(tvg):
-        raise GenerationError("generated scenario is not connected over time")
-    return tvg
+    return Tvg(graph, schedule, latency, 0)
 
 
 @dataclass(frozen=True)
@@ -263,11 +269,11 @@ def adversary_destabilize(underlying: StaticGraph, max_rounds: int) -> Tuple[Tvg
         start = eta + 1
         edges = sorted(suppressed, key=edge_key)
         for e in edges:
-            probe.amend([e], tvg.schedule[e].minus(start, None))
+            probe.amend(e, tvg.schedule[e].minus(start, None))
         new_set, alpha, sim = _stabilize(probe, quiet)
         tvg = restrict(tvg, [(edges, (start, alpha + 1))])
         for e in edges:
-            sim.amend([e], tvg.schedule[e])
+            sim.amend(e, tvg.schedule[e])
         rounds.append(
             AdversaryRound(i, stable, witness, suppressed, new_set, eta, alpha)
         )

@@ -8,9 +8,13 @@
  4. the shortcut chain family forces a convergence time linear in the chain
     length;
  5. underlying-graph outputs grow monotonically;
- 6. the dominating-set protocol stabilizes on the strong set when one exists;
+ 6. the dominating-set protocol stabilizes on the strong set when one
+    exists, on a seeded random corpus and, under three seeded all-recurrent
+    schedules each, on every connected graph on <= 6 vertices with a strong
+    set (the sufficiency half of the paper's condition);
  7. the adversary perpetually destabilizes it when none exists, on C_5,
-    K_3 and every connected graph on <= 6 vertices without a strong set;
+    K_3 and every connected graph on <= 6 vertices without a strong set
+    (the necessity half);
  8. the retrying send primitive delivers exactly when an occurrence is long
     enough, and each endpoint's edge callbacks alternate, appear first;
  9. traces and metrics are byte-identical across runs and interpreter
@@ -22,6 +26,7 @@
 import hashlib
 import itertools
 import json
+import random
 import subprocess
 import sys
 import textwrap
@@ -65,6 +70,7 @@ from tvgsim.scenarios import (
     generate_gk,
     generate_random_cot,
     named_graph,
+    random_schedule,
 )
 from tvgsim.tvg import (
     PeriodicTail,
@@ -206,6 +212,24 @@ def test_mdst_stabilizes_on_strong_set():
         assert last_change < horizon - 100  # stable through the tail of the run
         done += 1
     assert done == MDST_CORPUS_SIZE
+
+
+def test_mdst_stabilizes_on_every_census_graph_with_a_strong_set():
+    """The sufficiency half of the paper's condition on the whole census:
+    three seeded all-recurrent schedules over each graph."""
+    graphs = [g for g in _connected_atlas() if find_smds(g) is not None]
+    assert len(graphs) == 32
+    horizon = 300
+    for index, g in enumerate(graphs):
+        chosen = find_smds(g)
+        for seed in range(3):
+            tvg = random_schedule(g, set(), 16, random.Random(3 * index + seed))
+            assert all(s.recurrent for s in tvg.schedule.values())
+            trace = run(tvg, MdstProtocol(), horizon)
+            got = frozenset(v for v, out in trace.final_outputs.items() if out)
+            assert got == chosen, (index, seed, sorted(got), sorted(chosen))
+            last_change = max((ev.time for ev in trace.events if ev.kind == OUTPUT_CHANGED), default=0)
+            assert last_change < horizon - 100, (index, seed)  # held through the last 100 ticks
 
 
 # --- 7: perpetual destabilization ------------------------------------------
@@ -513,8 +537,6 @@ def _random_small_tvg(rng):
 
 
 def test_earliest_arrival_matches_time_expanded_search():
-    import random
-
     rng = random.Random(20260824)
     cases = 0
     for _ in range(150):

@@ -247,6 +247,14 @@ def test_generate_gk_and_random(tmp_path):
     assert len(d["vertices"]) == 6
 
 
+def test_generate_random_error_names_the_span_flag(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["generate", "random", "--nodes", "4", "--span", "7", "--seed", "1", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: span must be >= 8\n"
+    assert not out.exists()
+
+
 def test_adversary_cli(c5_file, capsys):
     assert main(["adversary", "--graph", c5_file, "--rounds", "2"]) == 0
     out = capsys.readouterr().out

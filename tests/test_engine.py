@@ -93,6 +93,66 @@ def test_message_lost_when_no_occurrence_suffices():
     assert not any(ev.kind == MESSAGE_DELIVERED for ev in trace.events)
 
 
+@pytest.mark.parametrize("back_up, delivered", [(3, 6), (5, 8)])
+def test_a_lost_attempt_leaves_a_stale_booking(back_up, delivered):
+    # Sent at 0 with latency 3, the message is booked for 3 and lost when
+    # the edge goes down at 2.  The booking at 3 is stale whether the edge
+    # is back up then, with the retry due at 6, or still down until 5.
+    sched = PresenceSchedule.of([(0, 2), (back_up, 10)])
+    trace = run(two_vertex(sched, latency=3), SendOnce("a", "b"), 20)
+    assert trace.serialize().splitlines() == [
+        "0 EdgeUp a b",
+        "0 SendInvoked 1 a b",
+        "2 EdgeDown a b",
+        "2 MessageLost 1",
+        f"{back_up} EdgeUp a b",
+        f"{delivered} MessageDelivered 1",
+        f"{delivered} OutputChanged b true",
+        "10 EdgeDown a b",
+        "FINAL",
+        "a false",
+        "b true",
+    ]
+
+
+class SendOnEachAppearance(Protocol):
+    """``a`` sends to ``b`` at initialization and again at each appearance
+    of the edge; the output is how many messages ``b`` got."""
+
+    name = "send_on_each_appearance"
+
+    def initial_state(self, vertex):
+        return 0
+
+    def on_init(self, state, vertex):
+        return state, [("b", "init")] if vertex == "a" else []
+
+    def on_edge_appear(self, state, vertex, other):
+        return state, [("b", "appear")] if vertex == "a" else []
+
+    def on_receive(self, state, vertex, sender, payload):
+        return state + 1, []
+
+    def output(self, state):
+        return state
+
+    def format_output(self, value):
+        return str(value)
+
+
+def test_losses_at_one_disappearance_follow_message_ids():
+    # Latency 3.  Messages 1 and 2 leave at 0, due at 3, and are lost at 2.
+    # At 4 both are retried and message 3 leaves; all three are lost at 6.
+    # At 9 they are retried with message 4 and all four arrive at 12, on the
+    # occurrence's closing boundary.
+    sched = PresenceSchedule.of([(0, 2), (4, 6)], PeriodicTail(9, 5, 3))
+    trace = run(two_vertex(sched, latency=3), SendOnEachAppearance(), 13)
+    lost = [(ev.time, ev.subject) for ev in trace.events if ev.kind == MESSAGE_LOST]
+    assert lost == [(2, ("1",)), (2, ("2",)), (6, ("1",)), (6, ("2",)), (6, ("3",))]
+    delivered = [(ev.time, ev.subject) for ev in trace.events if ev.kind == MESSAGE_DELIVERED]
+    assert delivered == [(12, ("1",)), (12, ("2",)), (12, ("3",)), (12, ("4",))]
+
+
 def test_delivery_on_closing_boundary():
     # transit [1,4) fits exactly into the occurrence; delivery at its end
     sched = PresenceSchedule.of([(1, 4)])

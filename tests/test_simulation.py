@@ -101,7 +101,7 @@ def test_amend_equals_a_restart_on_the_restricted_scenario(case, now, masks):
         sim = Simulation(source, make_protocol(name, source))
         sim.advance(now)
         for e in edges:
-            sim.amend([e], target.schedule[e])
+            sim.amend(e, target.schedule[e])
         expected = run(target, make_protocol(name, target), horizon).serialize()
         assert sim.advance(horizon).serialize() == expected
 
@@ -144,7 +144,7 @@ def test_amend_dooms_a_message_in_flight_across_the_new_end():
     cut = restrict(tvg, [([("a", "b")], (2, 10))])
     sim = Simulation(tvg, SendAtInit())
     sim.advance(2)
-    sim.amend([("a", "b")], cut.schedule[("a", "b")])
+    sim.amend(("a", "b"), cut.schedule[("a", "b")])
     trace = sim.advance(20)
     assert kinds(trace) == [(2, EDGE_DOWN), (2, MESSAGE_LOST), (13, MESSAGE_DELIVERED)]
     assert trace.serialize() == run(cut, SendAtInit(), 20).serialize()
@@ -156,7 +156,7 @@ def test_amend_saves_a_doomed_message_when_the_end_moves_out():
     cut = restrict(tvg, [([("a", "b")], (2, 10))])
     sim = Simulation(cut, SendAtInit())
     sim.advance(1)
-    sim.amend([("a", "b")], ALWAYS)
+    sim.amend(("a", "b"), ALWAYS)
     trace = sim.advance(20)
     assert kinds(trace) == [(3, MESSAGE_DELIVERED)]
     assert trace.serialize() == run(tvg, SendAtInit(), 20).serialize()
@@ -167,7 +167,7 @@ def test_amend_keeps_a_delivery_on_the_new_closing_boundary():
     cut = restrict(tvg, [([("a", "b")], (3, None))])
     sim = Simulation(tvg, SendAtInit())
     sim.advance(2)
-    sim.amend([("a", "b")], cut.schedule[("a", "b")])
+    sim.amend(("a", "b"), cut.schedule[("a", "b")])
     trace = sim.advance(20)
     assert kinds(trace) == [(3, EDGE_DOWN), (3, MESSAGE_DELIVERED)]
     assert trace.serialize() == run(cut, SendAtInit(), 20).serialize()
@@ -204,7 +204,7 @@ def test_amend_loses_doomed_and_in_flight_messages_in_id_order():
     cut = restrict(tvg, [([("a", "b")], (3, None))])
     sim = Simulation(tvg, Relay())
     sim.advance(3)
-    sim.amend([("a", "b")], cut.schedule[("a", "b")])
+    sim.amend(("a", "b"), cut.schedule[("a", "b")])
     trace = sim.advance(10)
     assert [ev.subject for ev in trace.events if ev.kind == MESSAGE_LOST] == [("1",), ("3",)]
     assert trace.serialize() == run(cut, Relay(), 10).serialize()
@@ -215,10 +215,10 @@ def test_amend_and_advance_reject_what_a_restart_could_not_give():
     sim = Simulation(tvg, SendAtInit())
     sim.advance(5)
     with pytest.raises(DomainError) as exc:
-        sim.amend([("a", "b")], ALWAYS)  # present at 2 and 3, unlike before
+        sim.amend(("a", "b"), ALWAYS)  # present at 2 and 3, unlike before
     assert "before tick 5" in str(exc.value)
     with pytest.raises(DomainError):
-        sim.amend([("a", "c")], ALWAYS)
+        sim.amend(("a", "c"), ALWAYS)
     with pytest.raises(DomainError):
         sim.advance(4)
     assert sim.advance(5).serialize() == run(tvg, SendAtInit(), 5).serialize()
