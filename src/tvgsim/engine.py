@@ -109,7 +109,8 @@ class Trace:
         ]
         lines.append("FINAL")
         lines.extend(self.final_lines)
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the closing newline, without copying the text again
+        return "\n".join(lines)
 
     @cached_property
     def final_lines(self) -> Tuple[str, ...]:

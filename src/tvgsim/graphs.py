@@ -11,10 +11,9 @@ mapping; ``component_of`` returns the graph itself when it is connected.
 Values derived from a whole graph are memoized by ``bounded_cache``: an LRU
 cache of at most ``CACHE_MAXSIZE`` entries, keyed by the graph.  Here these
 are the minimal-dominating-set scan and the strong-set search.  The
-protocols use the same decorator for the dominating-set decision and for the
-underlying-graph output's vertex table (the canonical order of a vertex set
-and each vertex's rank in it, keyed by the vertex frozenset).
-``cache_stats`` reports the hits, misses and sizes of every such cache.
+protocols use the same decorator for the dominating-set decision, keyed by
+the underlying-graph value, which hashes and compares as the graph it stands
+for.  ``cache_stats`` reports the hits, misses and sizes of every such cache.
 """
 
 from __future__ import annotations
@@ -115,9 +114,6 @@ class StaticGraph:
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         return make_edge(u, v) in self.edges
-
-    def with_edge(self, u: VertexId, v: VertexId) -> "StaticGraph":
-        return StaticGraph(self.vertices | {u, v}, self.edges | {make_edge(u, v)})
 
     def union(self, other: "StaticGraph") -> "StaticGraph":
         return StaticGraph(self.vertices | other.vertices, self.edges | other.edges)

@@ -4,6 +4,17 @@ layer built on top of it, and a flooding broadcast.
 The underlying-graph protocol is greedy: the local graph only grows, and every
 growth is propagated (full graph, not deltas) to every neighbor seen so far.
 
+Its local graphs are ``UgGraph`` values: a vertex mask and an edge mask over
+the protocol instance's ``EdgeIndex``, which gives each vertex and each edge
+the next free bit the first time the instance meets it (``MdstProtocol``
+inherits the index).  Union is ``|`` and containment ``a & ~b == 0``.  A value
+is equal to the ``StaticGraph`` it stands for, with the same hash, so the
+problem predicates and the dominating-set memo read it as that graph;
+``vertices``, ``edges`` and ``graph`` build the graph on demand.  Formatting
+puts a mask's bits into canonical order through a permutation that the index
+rebuilds only after it has grown, then joins the labels it built with it.  A
+payload from another instance's index is a ``DomainError``.
+
 Each protocol class also states the problem it solves: ``converged`` decides
 whether final outputs solve it on a scenario, and ``nps`` gives its family of
 necessary presence sets.  It states what a run needs, too: ``takes_origin``
@@ -14,7 +25,9 @@ rather than off the instance it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import compress
+from operator import itemgetter
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .errors import DomainError
@@ -26,6 +39,7 @@ from .graphs import (
     bounded_cache,
     check_subset_scan,
     components,
+    edge_key,
     enumerate_minimal_dominating_sets,
     find_smds,
     is_minimal_dominating,
@@ -36,22 +50,110 @@ from .metrics import nps_broadcast, nps_ug
 from .tvg import eventual_underlying_graph
 
 
-@bounded_cache
-def _vertex_table(vertices: FrozenSet[VertexId]) -> Tuple[str, Tuple[VertexId, ...], Dict[VertexId, int]]:
-    """The vertices joined in canonical order, that order, and each vertex's
-    rank in it.  Shared by every caller: never mutate the rank dict."""
-    order = tuple(sorted(vertices, key=vertex_key))
-    return ",".join(order), order, {v: i for i, v in enumerate(order)}
+class EdgeIndex:
+    """One protocol instance's bits: each vertex, and each edge, gets the next
+    free bit of its kind the first time the instance meets it.  Bits only
+    grow, so a mask stays valid for the life of the instance."""
+
+    def __init__(self):
+        self.vertices = []  # bit position -> vertex
+        self.edges = []  # bit position -> canonical edge
+        self._vertex_bits = {}
+        # (u, v) in either orientation -> (edge bit, endpoints' vertex bits)
+        self._edge_bits = {}
+        # Formatting tables, for the sizes they were built at: per kind, the
+        # permutation into canonical order and the labels in that order.
+        self._tables = None
+
+    def vertex_bit(self, v: VertexId) -> int:
+        bit = self._vertex_bits.get(v)
+        if bit is None:
+            bit = self._vertex_bits[v] = 1 << len(self.vertices)
+            self.vertices.append(v)
+        return bit
+
+    def edge_bits(self, u: VertexId, v: VertexId) -> Tuple[int, int]:
+        """Edge u-v's bit and the bits of its endpoints."""
+        bits = self._edge_bits.get((u, v))
+        if bits is None:
+            e = make_edge(u, v)
+            bits = (1 << len(self.edges), self.vertex_bit(u) | self.vertex_bit(v))
+            self._edge_bits[(u, v)] = self._edge_bits[(v, u)] = bits
+            self.edges.append(e)
+        return bits
+
+    def format(self, value: "UgGraph") -> str:
+        """``<vertices>|<edges>``, each comma-joined in canonical order."""
+        tables = self._tables
+        if tables is None or tables[0] != (len(self.vertices), len(self.edges)):
+            tables = self._tables = (
+                (len(self.vertices), len(self.edges)),
+                _canonical(self.vertices, vertex_key, str),
+                _canonical(self.edges, edge_key, "-".join),
+            )
+        _, vertex_table, edge_table = tables
+        return f"{_joined(vertex_table, value.vmask)}|{_joined(edge_table, value.emask)}"
 
 
-def graph_to_str(g: StaticGraph) -> str:
-    # Edge (u, v) sorts at rank[u] * n + rank[v]: the canonical edge order,
-    # with integer keys in place of a key function per edge.
-    verts, order, rank = _vertex_table(g.vertices)
-    n = len(order)
-    positions = sorted([rank[u] * n + rank[v] for (u, v) in g.edges])
-    edges = ",".join([f"{order[p // n]}-{order[p % n]}" for p in positions])
-    return f"{verts}|{edges}"
+def _canonical(items, key, label):
+    """The permutation that puts selectors by bit position in canonical order,
+    and the items' labels in that order."""
+    order = sorted(range(len(items)), key=lambda i: key(items[i]))
+    # itemgetter of one index returns an item, not a tuple; with one item or
+    # none, bit order is canonical order.
+    permute = itemgetter(*order) if len(order) > 1 else bytes
+    return permute, [label(items[i]) for i in order]
+
+
+# Binary digits to the bytes 0 and 1, which ``compress`` reads as selectors.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digits(mask: int, width: int = 0) -> bytes:
+    """``mask``'s binary digits as selectors, lowest first, zero-padded to ``width``."""
+    return bin(mask)[:1:-1].ljust(width, "0").encode().translate(_DIGIT_BYTES)
+
+
+def _joined(table, mask: int) -> str:
+    """The labels of ``mask``'s items, comma-joined in canonical order."""
+    permute, labels = table
+    return ",".join(compress(labels, permute(_digits(mask, len(labels)))))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class UgGraph:
+    """A ug local graph: a vertex mask and an edge mask over ``index``.  It is
+    equal to the ``StaticGraph`` it stands for, with the same hash, whichever
+    index either side comes from; ``graph`` builds that graph."""
+
+    vmask: int
+    emask: int
+    index: EdgeIndex
+    _hash: Optional[int] = field(default=None, init=False, repr=False)
+
+    @property
+    def vertices(self) -> FrozenSet[VertexId]:
+        return frozenset(compress(self.index.vertices, _digits(self.vmask)))
+
+    @property
+    def edges(self) -> FrozenSet[Edge]:
+        return frozenset(compress(self.index.edges, _digits(self.emask)))
+
+    @property
+    def graph(self) -> StaticGraph:
+        return StaticGraph(self.vertices, self.edges)
+
+    def __eq__(self, other):
+        if type(other) is UgGraph and other.index is self.index:
+            return self.emask == other.emask and self.vmask == other.vmask
+        if not isinstance(other, (UgGraph, StaticGraph)):
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.graph))
+        return self._hash
 
 
 def bool_to_str(b: bool) -> str:
@@ -60,43 +162,51 @@ def bool_to_str(b: bool) -> str:
 
 @dataclass(frozen=True)
 class UgState:
-    local_graph: StaticGraph
+    local_graph: UgGraph
     known_neighbors: FrozenSet[VertexId]
 
 
 class UgProtocol(Protocol):
     name = "ug"
 
+    def __init__(self):
+        self._index = EdgeIndex()
+
     def initial_state(self, vertex):
-        return UgState(StaticGraph.of([vertex], []), frozenset())
+        return UgState(UgGraph(self._index.vertex_bit(vertex), 0, self._index), frozenset())
 
     def on_edge_appear(self, state, vertex, other):
-        if make_edge(vertex, other) in state.local_graph.edges:
+        local = state.local_graph
+        ebit, vbits = self._index.edge_bits(vertex, other)
+        if local.emask & ebit:
             return state, []
         neighbors = state.known_neighbors | {other}
-        graph = state.local_graph.with_edge(vertex, other)
+        graph = UgGraph(local.vmask | vbits, local.emask | ebit, self._index)
         sends = [(r, graph) for r in sorted(neighbors, key=vertex_key)]
         return UgState(graph, neighbors), sends
 
     def on_receive(self, state, vertex, sender, payload):
-        if not isinstance(payload, StaticGraph):
+        if not isinstance(payload, UgGraph):
             raise DomainError(f"malformed payload from {sender!r}")
+        if payload.index is not self._index:
+            raise DomainError(f"payload from {sender!r} comes from another protocol instance")
         local = state.local_graph
-        if payload.edges <= local.edges:
+        if not payload.emask & ~local.emask:
             return state, []
+        vmask, emask = local.vmask | payload.vmask, local.emask | payload.emask
         # A payload that contains the local graph is their union: keep it.
-        if local.edges <= payload.edges and local.vertices <= payload.vertices:
+        if vmask == payload.vmask and emask == payload.emask:
             graph = payload
         else:
-            graph = local.union(payload)
+            graph = UgGraph(vmask, emask, self._index)
         sends = [(r, graph) for r in sorted(state.known_neighbors - {sender}, key=vertex_key)]
-        return replace(state, local_graph=graph), sends
+        return UgState(graph, state.known_neighbors), sends
 
     def output(self, state):
         return state.local_graph
 
     def format_output(self, value):
-        return graph_to_str(value)
+        return value.index.format(value)
 
     @staticmethod
     def converged(tvg, outputs):
@@ -123,7 +233,7 @@ class MdstState:
     in_mdst: bool
 
 
-def mdst_chosen_set(local_graph: StaticGraph, status: Dict[Edge, int], self_v: VertexId) -> FrozenSet[VertexId]:
+def mdst_chosen_set(local_graph: UgGraph, status: Dict[Edge, int], self_v: VertexId) -> FrozenSet[VertexId]:
     """The dominating set the process currently commits to.
 
     A strong minimal dominating set of the known footprint wins when one
@@ -136,10 +246,11 @@ def mdst_chosen_set(local_graph: StaticGraph, status: Dict[Edge, int], self_v: V
 
 
 @bounded_cache
-def _mdst_decision(local_graph: StaticGraph, down: FrozenSet[Edge], self_v: VertexId) -> FrozenSet[VertexId]:
+def _mdst_decision(local_graph: UgGraph, down: FrozenSet[Edge], self_v: VertexId) -> FrozenSet[VertexId]:
     # Pure in its arguments; the kernel is called through module globals so
-    # that a rebinding of them (a profiler's, say) sees every miss.
-    comp = local_graph.component_of(self_v)
+    # that a rebinding of them (a profiler's, say) sees every miss.  Only a
+    # miss builds the graph the value stands for.
+    comp = local_graph.graph.component_of(self_v)
     chosen = find_smds(comp)
     if chosen is not None:
         return chosen

@@ -16,6 +16,7 @@ from tvgsim.graphs import (
     is_connected,
     is_minimal_dominating,
     smds_witness,
+    vertex_key,
 )
 from tvgsim.protocols import MdstProtocol
 from tvgsim.scenarios import ALWAYS, AdversaryRound, InstabilityReport
@@ -47,6 +48,17 @@ def is_smds_bruteforce(g: StaticGraph, m: Iterable[VertexId]) -> bool:
     spanning subgraph of ``g``."""
     ms = frozenset(m)
     return all(is_minimal_dominating(sub, ms) for sub in enumerate_connected_spanning_subgraphs(g))
+
+
+def graph_to_str(g: StaticGraph) -> str:
+    """The ug output format by rank: vertex ``u``'s rank in the canonical
+    order sorts edge (u, v) at ``rank[u] * n + rank[v]``, with integer keys
+    in place of a key function per edge."""
+    order = sorted(g.vertices, key=vertex_key)
+    n, rank = len(order), {v: i for i, v in enumerate(order)}
+    positions = sorted([rank[u] * n + rank[v] for (u, v) in g.edges])
+    edges = ",".join([f"{order[p // n]}-{order[p % n]}" for p in positions])
+    return f"{','.join(order)}|{edges}"
 
 
 def present_at(schedule: PresenceSchedule, t: Tick) -> bool:

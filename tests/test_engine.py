@@ -232,6 +232,7 @@ def test_trace_serialization_and_replay():
 
 class CountingUg(UgProtocol):
     def __init__(self):
+        super().__init__()
         self.formatted = 0
 
     def format_output(self, value):

@@ -1,10 +1,13 @@
 import argparse
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import graph_to_str
 from tvgsim.cli import build_parser
 from tvgsim.engine import OUTPUT_CHANGED, Protocol, run
 from tvgsim.errors import DomainError
@@ -23,7 +26,6 @@ from tvgsim.protocols import (
     UgProtocol,
     UgState,
     get_protocol,
-    graph_to_str,
     mdst_chosen_set,
 )
 from tvgsim.scenarios import ALWAYS, generate_gk, generate_random_cot, named_graph
@@ -59,6 +61,41 @@ def test_graph_to_str_matches_sorted_format(isolated, pairs):
     assert graph_to_str(g) == _graph_to_str_by_sorting(g)
 
 
+def ug_value(protocol, owner, pairs):
+    """``owner``'s local graph once it has received each edge of ``pairs``
+    from the edge's first endpoint: a value built only by ``protocol``'s
+    handlers, so its bits follow the order of ``pairs``."""
+    state = protocol.initial_state(owner)
+    for (u, v) in pairs:
+        sender, _ = protocol.on_edge_appear(protocol.initial_state(u), u, v)
+        state, _ = protocol.on_receive(state, owner, u, sender.local_graph)
+    return state.local_graph
+
+
+id_pairs = st.lists(st.tuples(mixed_ids, mixed_ids).filter(lambda p: p[0] != p[1]), max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_ids, id_pairs, mixed_ids, id_pairs)
+def test_ug_values_format_and_compare_as_their_graphs(owner, pairs, later_owner, later_pairs):
+    protocol = UgProtocol()
+    value = ug_value(protocol, owner, pairs)
+    assert protocol.format_output(value) == _graph_to_str_by_sorting(value.graph)
+    # The index grows: new vertices and edges get bits after the old ones.
+    later = ug_value(protocol, later_owner, later_pairs)
+    assert protocol.format_output(value) == _graph_to_str_by_sorting(value.graph)
+    assert protocol.format_output(later) == _graph_to_str_by_sorting(later.graph)
+    # A value is its graph, in both directions and by hash.
+    assert value == value.graph and value.graph == value
+    assert hash(value) == hash(value.graph)
+    assert (value == later) == (value.graph == later.graph)
+    # Another instance meets the edges in the other order, so its bits differ.
+    twin = ug_value(UgProtocol(), owner, pairs[::-1])
+    assert twin == value and value == twin and hash(twin) == hash(value)
+    with pytest.raises(DomainError, match="another protocol instance"):
+        protocol.on_receive(protocol.initial_state(owner), owner, later_owner, twin)
+
+
 def _edge_sets(vertices):
     pairs = list(itertools.combinations(vertices, 2))
     return st.sets(st.sampled_from(pairs), max_size=len(pairs))
@@ -68,22 +105,40 @@ def _edge_sets(vertices):
 @given(_edge_sets("abcde"), _edge_sets("abcde"), st.booleans())
 def test_ug_receive_result_is_the_union(local_edges, payload_edges, extend):
     # As in a run: the local graph spans its edges and the process's own
-    # vertex; a payload spans its edges.  ``extend`` makes the payload a
-    # superset of the local edges, the case where it may be adopted.
+    # vertex; a payload spans its edges and its sender.  ``extend`` makes the
+    # payload a superset of the local edges, the case where it may be adopted.
     if extend:
         payload_edges = payload_edges | local_edges
-    local = StaticGraph.of({"a"} | {x for e in local_edges for x in e}, local_edges)
-    payload = StaticGraph.of({x for e in payload_edges for x in e}, payload_edges)
+    protocol = UgProtocol()
+    local = ug_value(protocol, "a", sorted(local_edges))
+    payload = ug_value(protocol, "b", sorted(payload_edges))
     state = UgState(local, frozenset("bcd"))
-    new_state, sends = UgProtocol().on_receive(state, "a", "b", payload)
-    assert new_state.local_graph == local.union(payload)
+    new_state, sends = protocol.on_receive(state, "a", "b", payload)
+    # A payload with no new edge changes nothing.  (In a run it holds its
+    # edge to the receiver, so it then holds no new vertex either.)
     if payload.edges <= local.edges:
         assert new_state is state and sends == []
         return
+    assert new_state.local_graph == local.graph.union(payload.graph)
     if local.edges <= payload.edges and local.vertices <= payload.vertices:
         assert new_state.local_graph is payload
     assert new_state.known_neighbors == state.known_neighbors
     assert sends == [("c", new_state.local_graph), ("d", new_state.local_graph)]
+
+
+def test_ug_trace_holds_few_bytes_per_event():
+    # What a trace keeps alive once the run is over: its records and the
+    # output values they hold.
+    tvg = generate_random_cot(24, 0.3, 0.2, 64, seed=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = run(tvg, UgProtocol(), 400)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 300 * len(trace.events)
 
 
 def test_get_protocol():
@@ -154,8 +209,10 @@ def test_mdst_chosen_set_respects_down_status():
     g = named_graph("cycle", 5)
     # with p1-p2 reported down (an even count), the estimate is the path p2..p5-p1
     status = {("p1", "p2"): 2}
-    chosen = mdst_chosen_set(g, status, "p1")
-    assert chosen == mdst_chosen_set(g, status, "p4")  # agreement across processes
+    protocol = UgProtocol()
+    chosen = mdst_chosen_set(ug_value(protocol, "p1", g.sorted_edges()), status, "p1")
+    # agreement across processes
+    assert chosen == mdst_chosen_set(ug_value(protocol, "p4", g.sorted_edges()), status, "p4")
     est = StaticGraph(g.vertices, g.edges - {("p1", "p2")})
     # the estimate is a tree, where the first minimal dominating set is strong
     assert chosen == find_smds(est)
@@ -211,8 +268,9 @@ def test_memoized_chosen_set_matches_uncached_recomputation(view):
     status = dict(zip(g.sorted_edges(), counts))
     v = f"p{who}"
     expected = _chosen_set_uncached(g, status, v)
-    assert mdst_chosen_set(g, status, v) == expected
-    assert mdst_chosen_set(g, dict(status), v) == expected  # a cache hit
+    assert mdst_chosen_set(ug_value(UgProtocol(), v, g.sorted_edges()), status, v) == expected
+    # A cache hit, on the same graph from an instance with other bits.
+    assert mdst_chosen_set(ug_value(UgProtocol(), v, g.sorted_edges()[::-1]), dict(status), v) == expected
 
 
 def test_cache_stats_repeat_and_stay_bounded():
@@ -222,11 +280,11 @@ def test_cache_stats_repeat_and_stay_bounded():
     for _ in range(2):
         clear_caches()
         run(tvg, MdstProtocol(), 200)
-        # Only serialization formats ug outputs, through _vertex_table.
+        # Formatting ug outputs fills no cache.
         run(tvg, UgProtocol(), 200).serialize()
         stats.append(cache_stats())
     assert stats[0] == stats[1]
-    assert set(stats[0]) == {"_enumerate_mds_cached", "find_smds", "_mdst_decision", "_vertex_table"}
+    assert set(stats[0]) == {"_enumerate_mds_cached", "find_smds", "_mdst_decision"}
     for hits, misses, currsize, maxsize in stats[0].values():
         assert maxsize is not None and currsize <= maxsize
         assert misses > 0
