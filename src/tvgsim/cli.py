@@ -127,8 +127,8 @@ def cmd_generate_random(args) -> int:
 
 def cmd_adversary(args) -> int:
     g = io.load_graph_file(args.graph)
-    _, report = scenarios.adversary_destabilize(g, args.rounds)
-    for r in report.rounds:
+    _, rounds = scenarios.adversary_destabilize(g, args.rounds)
+    for r in rounds:
         print(
             f"round {r.index}: stable {_fmt_set(r.stable_set)} at {r.stabilized_at}; "
             f"witness {r.witness}; suppressed {_fmt_edges(r.suppressed_edges)}; "

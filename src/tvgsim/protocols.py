@@ -193,12 +193,7 @@ class UgProtocol(Protocol):
         local = state.local_graph
         if not payload.emask & ~local.emask:
             return state, []
-        vmask, emask = local.vmask | payload.vmask, local.emask | payload.emask
-        # A payload that contains the local graph is their union: keep it.
-        if vmask == payload.vmask and emask == payload.emask:
-            graph = payload
-        else:
-            graph = UgGraph(vmask, emask, self._index)
+        graph = UgGraph(local.vmask | payload.vmask, local.emask | payload.emask, self._index)
         sends = [(r, graph) for r in sorted(state.known_neighbors - {sender}, key=vertex_key)]
         return UgState(graph, state.known_neighbors), sends
 
@@ -272,21 +267,21 @@ class MdstProtocol(UgProtocol):
     name = "mdst"
 
     def initial_state(self, vertex):
-        return self._publish(MdstState(super().initial_state(vertex), {}, False), vertex)[0]
+        return self._publish(super().initial_state(vertex), {}, vertex)[0]
 
-    def _publish(self, state: MdstState, vertex, skip=frozenset()):
-        """Recompute membership; send (graph, status) to every known
-        neighbor not in ``skip``."""
-        chosen = mdst_chosen_set(state.ug.local_graph, state.edge_status, vertex)
-        state = MdstState(state.ug, state.edge_status, vertex in chosen)
-        payload = (state.ug.local_graph, state.edge_status)
-        return state, [(r, payload) for r in sorted(state.ug.known_neighbors - skip, key=vertex_key)]
+    def _publish(self, ug: UgState, status: Dict[Edge, int], vertex, skip=frozenset()):
+        """The state of ``ug`` and ``status`` with membership recomputed; send
+        (graph, status) to every known neighbor not in ``skip``."""
+        chosen = mdst_chosen_set(ug.local_graph, status, vertex)
+        payload = (ug.local_graph, status)
+        sends = [(r, payload) for r in sorted(ug.known_neighbors - skip, key=vertex_key)]
+        return MdstState(ug, status, vertex in chosen), sends
 
     def _observe(self, state: MdstState, ug_state: UgState, vertex, other):
         """Count one appearance or disappearance of edge vertex-other."""
         e = make_edge(vertex, other)
         status = {**state.edge_status, e: state.edge_status.get(e, 0) + 1}
-        return self._publish(MdstState(ug_state, status, state.in_mdst), vertex)
+        return self._publish(ug_state, status, vertex)
 
     def on_edge_appear(self, state, vertex, other):
         ug_state, _ = super().on_edge_appear(state.ug, vertex, other)
@@ -301,7 +296,7 @@ class MdstProtocol(UgProtocol):
         status = _merge_status(state.edge_status, their_status)
         if ug_state is state.ug and status is state.edge_status:
             return state, []
-        return self._publish(MdstState(ug_state, status, state.in_mdst), vertex, {sender})
+        return self._publish(ug_state, status, vertex, {sender})
 
     def output(self, state):
         return state.in_mdst

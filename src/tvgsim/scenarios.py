@@ -200,11 +200,6 @@ class AdversaryRound:
     restabilized_at: Tick
 
 
-@dataclass(frozen=True)
-class InstabilityReport:
-    rounds: Tuple[AdversaryRound, ...]
-
-
 def _true_set(outputs: Dict[VertexId, object]) -> FrozenSet[VertexId]:
     return frozenset(v for v, out in outputs.items() if out)
 
@@ -235,9 +230,10 @@ def _stabilize(sim: Simulation, quiet: Tick) -> Tuple[FrozenSet[VertexId], Tick,
     raise GenerationError("dominating-set output did not stabilize within the search horizon")
 
 
-def adversary_destabilize(underlying: StaticGraph, max_rounds: int) -> Tuple[Tvg, InstabilityReport]:
+def adversary_destabilize(underlying: StaticGraph, max_rounds: int) -> Tuple[Tvg, Tuple[AdversaryRound, ...]]:
     """Adaptively extend an all-edges-present schedule so that the shipped
-    dominating-set protocol changes its stabilized output every round.
+    dominating-set protocol changes its stabilized output every round, and
+    return the extended scenario with its rounds.
 
     One simulation runs forward through the rounds.  Each round it
     stabilizes, then a probe forked at the tick after the stable set's last
@@ -274,10 +270,8 @@ def adversary_destabilize(underlying: StaticGraph, max_rounds: int) -> Tuple[Tvg
         tvg = restrict(tvg, [(edges, (start, alpha + 1))])
         for e in edges:
             sim.amend(e, tvg.schedule[e])
-        rounds.append(
-            AdversaryRound(i, stable, witness, suppressed, new_set, eta, alpha)
-        )
-    return tvg, InstabilityReport(tuple(rounds))
+        rounds.append(AdversaryRound(i, stable, witness, suppressed, new_set, eta, alpha))
+    return tvg, tuple(rounds)
 
 
 # The adversary no longer calls ``run``, but the benchmark's tracer wraps

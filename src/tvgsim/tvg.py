@@ -94,8 +94,11 @@ class PresenceSchedule:
             while ints and ints[-1][1] == tail.offset:
                 ints[-1][1] = tail.offset + tail.duration
                 tail = PeriodicTail(tail.offset + tail.period, tail.period, tail.duration)
+            # Tail occurrences are not written out, so an interval may not end
+            # after the tail starts even where it overlaps none of them.
             if ints and ints[-1][1] > tail.offset:
-                raise DomainError("periodic tail overlaps a finite interval")
+                s, e = ints[-1]
+                raise DomainError(f"interval [{s},{e}) ends after the periodic tail's offset {tail.offset}")
         return PresenceSchedule(tuple((s, e) for s, e in ints), tail)
 
     @property
@@ -130,6 +133,8 @@ class PresenceSchedule:
         duration >= 1, throughout the half-open window [t', t' + duration)."""
         if t < 0:
             raise DomainError(f"tick {t} is negative")
+        if duration < 0:
+            raise DomainError(f"duration {duration} is negative")
         tail = self.tail
         for (s, e) in self.occurrences(t):
             c = max(s, t)  # c < e, as the occurrence ends after t

@@ -19,7 +19,7 @@ from tvgsim.graphs import (
     vertex_key,
 )
 from tvgsim.protocols import MdstProtocol
-from tvgsim.scenarios import ALWAYS, AdversaryRound, InstabilityReport
+from tvgsim.scenarios import ALWAYS, AdversaryRound
 from tvgsim.tvg import PresenceSchedule, Tick, Tvg, restrict
 
 # Spanning subgraphs are enumerated as edge subsets: exponential in edges.
@@ -83,10 +83,12 @@ def _stabilize_by_restarts(tvg: Tvg, after: Tick, quiet: Tick) -> Tuple[FrozenSe
     raise GenerationError("dominating-set output did not stabilize within the search horizon")
 
 
-def adversary_by_restarts(underlying: StaticGraph, max_rounds: int) -> Iterator[Tuple[Tvg, InstabilityReport]]:
+def adversary_by_restarts(
+    underlying: StaticGraph, max_rounds: int
+) -> Iterator[Tuple[Tvg, Tuple[AdversaryRound, ...]]]:
     """The adversary as first written, re-simulating from tick 0 at every
     stabilization and rebuilding the ``Tvg`` every round; quadratic in
-    rounds.  Yields the witness ``Tvg`` and the report after each round."""
+    rounds.  Yields the witness ``Tvg`` and the rounds so far after each round."""
     if max_rounds < 0:
         raise DomainError(f"round count must be non-negative, got {max_rounds}")
     if not is_connected(underlying):
@@ -109,4 +111,4 @@ def adversary_by_restarts(underlying: StaticGraph, max_rounds: int) -> Iterator[
         tvg = restrict(tvg, [(sorted(suppressed, key=edge_key), (start, alpha + 1))])
         rounds.append(AdversaryRound(i, stable, witness, suppressed, new_set, eta, alpha))
         watch = alpha + 1
-        yield tvg, InstabilityReport(tuple(rounds))
+        yield tvg, tuple(rounds)

@@ -146,6 +146,46 @@ def test_scenario_errors(mutate, fragment):
     assert fragment in str(exc.value)
 
 
+def _gk1_with_edge1(entry):
+    """The scenario dict of ``generate_gk(1)`` with ``entry`` as ``edges[1]``."""
+    d = tvg_to_dict(generate_gk(1))
+    d["edges"][1] = entry
+    return d
+
+
+GK1_EDGE1 = {"u": "p0", "v": "p2", "latency": 1, "intervals": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ([tvg_to_dict(generate_gk(1))], "scenario must be a JSON object"),
+        (_gk1_with_edge1(["p0", "p2"]), "edges[1]: edge entry must be an object"),
+        (_gk1_with_edge1({**GK1_EDGE1, "v": "p0"}), "edges[1]: self-loop on 'p0'"),
+        (
+            _gk1_with_edge1({**GK1_EDGE1, "intervals": {"0": 1}}),
+            "edges[1]: intervals must be an array of [start,end] pairs",
+        ),
+        (_gk1_with_edge1({**GK1_EDGE1, "periodic": [5, 1, 1]}), "edges[1]: periodic must be an object"),
+        (
+            _gk1_with_edge1({**GK1_EDGE1, "periodic": {"offset": 5, "period": 0, "duration": 1}}),
+            "edges[1]: invalid periodic tail: periodic tail period must be positive",
+        ),
+        (
+            _gk1_with_edge1(
+                {**GK1_EDGE1, "intervals": [[3, 4]], "periodic": {"offset": 0, "period": 5, "duration": 1}}
+            ),
+            "edges[1]: invalid schedule: interval [3,4) ends after the periodic tail's offset 0",
+        ),
+    ],
+    ids=["top-level", "entry", "self-loop", "intervals", "periodic", "tail", "tail-offset"],
+)
+def test_scenario_boundary_errors(obj, message):
+    with pytest.raises(ParseError) as exc:
+        tvg_from_dict(obj)
+    assert str(exc.value) == message
+
+
 def _set_tail_field(d, name, value):
     d["edges"][0]["periodic"][name] = value
 
@@ -224,7 +264,8 @@ def normalize_reference(intervals, tail):
             ints[-1][1] = tail.offset + tail.duration
             tail = PeriodicTail(tail.offset + tail.period, tail.period, tail.duration)
         if ints and ints[-1][1] > tail.offset:
-            raise DomainError("periodic tail overlaps a finite interval")
+            s, e = ints[-1]
+            raise DomainError(f"interval [{s},{e}) ends after the periodic tail's offset {tail.offset}")
     return PresenceSchedule(tuple((s, e) for s, e in ints), tail)
 
 

@@ -96,6 +96,13 @@ def test_ug_values_format_and_compare_as_their_graphs(owner, pairs, later_owner,
         protocol.on_receive(protocol.initial_state(owner), owner, later_owner, twin)
 
 
+def test_ug_receive_rejects_a_payload_that_is_not_a_ug_value():
+    protocol = UgProtocol()
+    graph = StaticGraph.of(["a", "b"], [("a", "b")])
+    with pytest.raises(DomainError, match="malformed payload from 'b'"):
+        protocol.on_receive(protocol.initial_state("a"), "a", "b", graph)
+
+
 def _edge_sets(vertices):
     pairs = list(itertools.combinations(vertices, 2))
     return st.sets(st.sampled_from(pairs), max_size=len(pairs))
@@ -106,7 +113,7 @@ def _edge_sets(vertices):
 def test_ug_receive_result_is_the_union(local_edges, payload_edges, extend):
     # As in a run: the local graph spans its edges and the process's own
     # vertex; a payload spans its edges and its sender.  ``extend`` makes the
-    # payload a superset of the local edges, the case where it may be adopted.
+    # payload a superset of the local edges, so that the union is its graph.
     if extend:
         payload_edges = payload_edges | local_edges
     protocol = UgProtocol()
@@ -120,8 +127,6 @@ def test_ug_receive_result_is_the_union(local_edges, payload_edges, extend):
         assert new_state is state and sends == []
         return
     assert new_state.local_graph == local.graph.union(payload.graph)
-    if local.edges <= payload.edges and local.vertices <= payload.vertices:
-        assert new_state.local_graph is payload
     assert new_state.known_neighbors == state.known_neighbors
     assert sends == [("c", new_state.local_graph), ("d", new_state.local_graph)]
 

@@ -140,13 +140,13 @@ def test_adversary_rejects_disconnected():
 
 def test_adversary_on_c5():
     c5 = named_graph("cycle", 5)
-    tvg, report = adversary_destabilize(c5, 3)
-    assert len(report.rounds) == 3
-    for r in report.rounds:
+    tvg, rounds = adversary_destabilize(c5, 3)
+    assert len(rounds) == 3
+    for r in rounds:
         assert r.new_set != r.stable_set
         assert r.witness not in r.stable_set
         assert r.stabilized_at < r.restabilized_at
-    first = report.rounds[0]
+    first = rounds[0]
     assert first.stable_set == frozenset({"p1", "p3"})
     assert first.witness == "p4"
     assert first.suppressed_edges == frozenset({("p3", "p4")})
@@ -157,8 +157,8 @@ def test_adversary_on_c5():
 
 def test_adversary_on_k3():
     k3 = named_graph("complete", 3)
-    _, report = adversary_destabilize(k3, 2)
-    first = report.rounds[0]
+    _, rounds = adversary_destabilize(k3, 2)
+    first = rounds[0]
     assert first.stable_set == frozenset({"p1"})
     assert first.witness == "p2"
     assert first.new_set == frozenset({"p3"})

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adversary_by_restarts
-from tvgsim.engine import EDGE_DOWN, MESSAGE_DELIVERED, MESSAGE_LOST, Protocol, Simulation, run
+from tvgsim.engine import EDGE_DOWN, MESSAGE_DELIVERED, MESSAGE_LOST, OUTPUT_CHANGED, Protocol, Simulation, run
 from tvgsim.errors import DomainError
 from tvgsim.graphs import StaticGraph
 from tvgsim.protocols import FloodProtocol, MdstProtocol, UgProtocol
-from tvgsim.scenarios import ALWAYS, adversary_destabilize, generate_random_cot, named_graph
+from tvgsim.scenarios import ALWAYS, _stabilize, adversary_destabilize, generate_random_cot, named_graph
 from tvgsim.tvg import PeriodicTail, PresenceSchedule, Tvg, restrict
 
 
@@ -233,6 +233,20 @@ def test_adversary_matches_the_restart_oracle(name, size):
         assert adversary_destabilize(g, rounds) == (tvg, report)
 
 
+def test_stabilize_doubles_its_horizon_past_a_late_change():
+    # p2-p3 first appears at tick 78, so outputs change up to tick 79: past
+    # the first horizon, 4 * quiet + 64 = 80, less the quiet window.
+    g = StaticGraph.of(["p1", "p2", "p3"], [("p1", "p2"), ("p2", "p3")])
+    late = PresenceSchedule.of([], PeriodicTail(78, 1, 1))
+    tvg = Tvg(g, {("p1", "p2"): ALWAYS, ("p2", "p3"): late}, {e: 1 for e in g.edges})
+    stable, last, checkpoint = _stabilize(Simulation(tvg, MdstProtocol()), 4)
+    full = run(tvg, MdstProtocol(), 160)
+    assert last == max(ev.time for ev in full.events if ev.kind == OUTPUT_CHANGED) == 79
+    assert stable == {v for v, out in full.final_outputs.items() if out} == {"p2"}
+    assert checkpoint.now == 80
+    assert checkpoint.trace.final_outputs == run(tvg, MdstProtocol(), 80).final_outputs
+
+
 def test_adversary_work_stays_near_its_final_run(monkeypatch):
     """Events the adversary's simulations process, against the events of one
     run of the scenario it returns up to the last restabilization.  Only the
@@ -249,6 +263,6 @@ def test_adversary_work_stays_near_its_final_run(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(Simulation, "advance", counted)
-        tvg, report = adversary_destabilize(named_graph("cycle", 5), 120)
-    final = run(tvg, MdstProtocol(), report.rounds[-1].restabilized_at + 1)
+        tvg, rounds = adversary_destabilize(named_graph("cycle", 5), 120)
+    final = run(tvg, MdstProtocol(), rounds[-1].restabilized_at + 1)
     assert len(final.events) <= processed <= 1.1 * len(final.events)

@@ -124,6 +124,19 @@ def test_earliest_window_rejects_negative_tick():
     assert "negative" in str(exc.value)
 
 
+def test_earliest_window_rejects_negative_duration():
+    with pytest.raises(DomainError, match="duration -3 is negative"):
+        PresenceSchedule.of([(0, 5)]).earliest_window(0, -3)
+
+
+def test_interval_ending_after_a_tail_offset_is_rejected_by_that_rule():
+    # The tail's occurrences are [0,1), [5,6), ...: [3,4) overlaps none of
+    # them, but it ends after the tail starts.
+    with pytest.raises(DomainError) as exc:
+        PresenceSchedule.of([(3, 4)], PeriodicTail(0, 5, 1))
+    assert str(exc.value) == "interval [3,4) ends after the periodic tail's offset 0"
+
+
 @settings(max_examples=150, deadline=None)
 @given(intervals_st, tail_st, st.integers(0, 50), st.one_of(st.none(), st.integers(1, 30)), st.integers(0, 90))
 def test_minus_pointwise(intervals, tail, start, length, t):
