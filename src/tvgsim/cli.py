@@ -40,6 +40,8 @@ def _fmt_edges(es) -> str:
 def cmd_analyze(args) -> int:
     g = io.load_graph_file(args.graph)
     connected = graphs.is_connected(g)
+    if connected and (args.all_mds or args.smds):
+        graphs.check_subset_scan(g.vertices)
     print(f"vertices: {len(g.vertices)}")
     print(f"edges: {len(g.edges)}")
     print(f"connected: {'yes' if connected else 'no'}")

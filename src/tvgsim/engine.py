@@ -127,12 +127,9 @@ def output_timeline(trace: Trace) -> List[Tuple[Tick, Dict[VertexId, Any]]]:
     for ev in trace.events:
         if ev.kind != OUTPUT_CHANGED:
             continue
-        current = dict(timeline[-1][1])
-        current[ev.subject[0]] = ev.value
-        if ev.time == timeline[-1][0]:
-            timeline[-1] = (ev.time, current)
-        else:
-            timeline.append((ev.time, current))
+        if ev.time != timeline[-1][0]:
+            timeline.append((ev.time, dict(timeline[-1][1])))
+        timeline[-1][1][ev.subject[0]] = ev.value
     return timeline
 
 

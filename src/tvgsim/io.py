@@ -29,10 +29,13 @@ def parse_graph_text(text: str) -> StaticGraph:
         if vertices is None:
             if not line.startswith("vertices:"):
                 raise ParseError(f"line {lineno}: expected 'vertices: ...', got {raw!r}")
-            ids = [v.strip() for v in line[len("vertices:"):].split(",") if v.strip()]
-            if not ids:
+            listed = line[len("vertices:"):]
+            if not listed.strip():
                 raise ParseError(f"line {lineno}: empty vertex list")
+            ids = [v.strip() for v in listed.split(",")]
             for v in ids:
+                if not v:
+                    raise ParseError(f"line {lineno}: empty vertex identifier")
                 if not _ID_RE.fullmatch(v):
                     raise ParseError(f"line {lineno}: invalid identifier {v!r}")
             vertices = frozenset(ids)

@@ -25,7 +25,7 @@ rather than off the instance it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
 from typing import Dict, FrozenSet, Optional, Tuple
@@ -253,6 +253,11 @@ def _mdst_decision(local_graph: UgGraph, down: FrozenSet[Edge], self_v: VertexId
     return enumerate_minimal_dominating_sets(est.component_of(self_v))[0]
 
 
+def true_set(outputs: Dict[VertexId, object]) -> FrozenSet[VertexId]:
+    """The vertices whose dominating-set output is true."""
+    return frozenset(v for v, out in outputs.items() if out)
+
+
 def _merge_status(mine: Dict[Edge, int], theirs: Dict[Edge, int]) -> Dict[Edge, int]:
     """``mine`` updated with every newer entry of ``theirs``; ``mine`` itself
     when nothing is newer."""
@@ -314,19 +319,18 @@ class MdstProtocol(UgProtocol):
     def converged(tvg, outputs):
         # The final true-set must dominate minimally on the eventual
         # underlying graph.
-        true_set = frozenset(v for v, out in outputs.items() if out)
-        return is_minimal_dominating(eventual_underlying_graph(tvg), true_set)
+        return is_minimal_dominating(eventual_underlying_graph(tvg), true_set(outputs))
 
 
 @dataclass(frozen=True)
 class BroadcastState:
     have_message: bool
-    informed_neighbors: FrozenSet[VertexId]
     known_neighbors: FrozenSet[VertexId]
 
 
 class FloodProtocol(Protocol):
-    """Minimal flooding broadcast from a designated origin."""
+    """Minimal flooding broadcast from a designated origin.  Once a process
+    holds the message, it has sent it to or had it from each known neighbor."""
 
     name = "flood"
     takes_origin = True
@@ -335,23 +339,19 @@ class FloodProtocol(Protocol):
         self.origin = origin
 
     def initial_state(self, vertex):
-        return BroadcastState(vertex == self.origin, frozenset(), frozenset())
+        return BroadcastState(vertex == self.origin, frozenset())
 
     def on_edge_appear(self, state, vertex, other):
-        if state.have_message and other not in state.informed_neighbors:
-            known = state.known_neighbors | {other}
-            new_state = BroadcastState(True, state.informed_neighbors | {other}, known)
-            return new_state, [(other, "token")]
         if other in state.known_neighbors:
             return state, []
-        return replace(state, known_neighbors=state.known_neighbors | {other}), []
+        new_state = BroadcastState(state.have_message, state.known_neighbors | {other})
+        return new_state, [(other, "token")] if state.have_message else []
 
     def on_receive(self, state, vertex, sender, payload):
-        informed = state.informed_neighbors | {sender}
+        new_state = BroadcastState(True, state.known_neighbors | {sender})
         if state.have_message:
-            return replace(state, informed_neighbors=informed), []
-        targets = sorted(state.known_neighbors - informed, key=vertex_key)
-        new_state = BroadcastState(True, informed | set(targets), state.known_neighbors)
+            return new_state, []
+        targets = sorted(state.known_neighbors - {sender}, key=vertex_key)
         return new_state, [(r, "token") for r in targets]
 
     def output(self, state):

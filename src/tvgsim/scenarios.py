@@ -7,7 +7,10 @@ The adversary extends its schedule round by round, and one forward
 ``Simulation`` follows it: each stabilization advances it through the same
 absolute doubling horizons a run restarted from tick 0 would use, so it
 reports the same set and tick, and each round forks and amends it where the
-schedule changes.  Its work is linear in rounds."""
+schedule changes.  It processes at most 1.1x the events of one run of the
+scenario it returns, but its time per round grows with the rounds done (on
+C5, 0.9 ms at 90 rounds and 6.6 ms at 1440; Python 3.11, 2-vCPU host): each
+amend walks the schedule so far, and each fork copies the trace."""
 
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .graphs import (
     make_edge,
     smds_witness,
 )
-from .protocols import MdstProtocol
+from .protocols import MdstProtocol, true_set
 from .tvg import PeriodicTail, PresenceSchedule, Tick, Tvg, is_connected_over_time, restrict
 
 ALWAYS = PresenceSchedule.of([], PeriodicTail(0, 1, 1))
@@ -200,10 +203,6 @@ class AdversaryRound:
     restabilized_at: Tick
 
 
-def _true_set(outputs: Dict[VertexId, object]) -> FrozenSet[VertexId]:
-    return frozenset(v for v, out in outputs.items() if out)
-
-
 def _stabilize(sim: Simulation, quiet: Tick) -> Tuple[FrozenSet[VertexId], Tick, Simulation]:
     """Advance ``sim`` from ``after = sim.now`` until its outputs have been
     constant for the quiet window before a horizon, the horizons being
@@ -225,7 +224,7 @@ def _stabilize(sim: Simulation, quiet: Tick) -> Tuple[FrozenSet[VertexId], Tick,
                 checkpoint, last = sim.fork(), t
             t = sim.next_tick
         if last + quiet < horizon:
-            return _true_set(checkpoint.trace.final_outputs), last, checkpoint
+            return true_set(checkpoint.trace.final_outputs), last, checkpoint
         horizon *= 2
     raise GenerationError("dominating-set output did not stabilize within the search horizon")
 

@@ -2,9 +2,10 @@
 written apart from the code they check."""
 
 import itertools
+from dataclasses import dataclass, replace
 from typing import FrozenSet, Iterable, Iterator, List, Tuple
 
-from tvgsim.engine import output_timeline, run
+from tvgsim.engine import Protocol, output_timeline, run
 from tvgsim.errors import CapacityError, DomainError, GenerationError
 from tvgsim.graphs import (
     StaticGraph,
@@ -18,9 +19,9 @@ from tvgsim.graphs import (
     smds_witness,
     vertex_key,
 )
-from tvgsim.protocols import MdstProtocol
+from tvgsim.protocols import MdstProtocol, bool_to_str
 from tvgsim.scenarios import ALWAYS, AdversaryRound
-from tvgsim.tvg import PresenceSchedule, Tick, Tvg, restrict
+from tvgsim.tvg import PeriodicTail, PresenceSchedule, Tick, Tvg, restrict
 
 # Spanning subgraphs are enumerated as edge subsets: exponential in edges.
 SUBGRAPH_EDGE_CAP = 16
@@ -70,6 +71,28 @@ def present_at(schedule: PresenceSchedule, t: Tick) -> bool:
     return tail is not None and t >= tail.offset and (t - tail.offset) % tail.period < tail.duration
 
 
+def _affine(schedule: PresenceSchedule, k: int, d: Tick) -> PresenceSchedule:
+    """``schedule`` with each tick t moved to k * t + d, periods and
+    durations scaled by k; normalized, so a contiguous tail stays (offset, 1, 1)."""
+    tail = schedule.tail
+    if tail is not None:
+        tail = PeriodicTail(k * tail.offset + d, k * tail.period, k * tail.duration)
+    return PresenceSchedule.of([(k * s + d, k * e + d) for (s, e) in schedule.intervals], tail)
+
+
+def dilate(tvg: Tvg, k: int) -> Tvg:
+    """``tvg`` with every tick, every latency and the process latency times ``k``."""
+    schedule = {e: _affine(sched, k, 0) for e, sched in tvg.schedule.items()}
+    latency = {e: k * z for e, z in tvg.latency.items()}
+    return Tvg(tvg.graph, schedule, latency, k * tvg.process_latency)
+
+
+def shift(tvg: Tvg, d: Tick) -> Tvg:
+    """``tvg`` with every schedule delayed by ``d`` ticks."""
+    schedule = {e: _affine(sched, 1, d) for e, sched in tvg.schedule.items()}
+    return Tvg(tvg.graph, schedule, tvg.latency, tvg.process_latency)
+
+
 def _stabilize_by_restarts(tvg: Tvg, after: Tick, quiet: Tick) -> Tuple[FrozenSet[VertexId], Tick]:
     """Simulate from tick 0 until the true-set has been constant for the
     quiet window; returns the stable set and the tick of its last change."""
@@ -112,3 +135,47 @@ def adversary_by_restarts(
         rounds.append(AdversaryRound(i, stable, witness, suppressed, new_set, eta, alpha))
         watch = alpha + 1
         yield tvg, tuple(rounds)
+
+
+@dataclass(frozen=True)
+class TwoSetBroadcastState:
+    have_message: bool
+    informed_neighbors: FrozenSet[VertexId]
+    known_neighbors: FrozenSet[VertexId]
+
+
+class TwoSetFloodProtocol(Protocol):
+    """The flooding broadcast as first written: neighbors seen and neighbors
+    that have the message (sent to or heard from) in two sets."""
+
+    name = "flood"
+    takes_origin = True
+
+    def __init__(self, origin: VertexId):
+        self.origin = origin
+
+    def initial_state(self, vertex):
+        return TwoSetBroadcastState(vertex == self.origin, frozenset(), frozenset())
+
+    def on_edge_appear(self, state, vertex, other):
+        if state.have_message and other not in state.informed_neighbors:
+            known = state.known_neighbors | {other}
+            new_state = TwoSetBroadcastState(True, state.informed_neighbors | {other}, known)
+            return new_state, [(other, "token")]
+        if other in state.known_neighbors:
+            return state, []
+        return replace(state, known_neighbors=state.known_neighbors | {other}), []
+
+    def on_receive(self, state, vertex, sender, payload):
+        informed = state.informed_neighbors | {sender}
+        if state.have_message:
+            return replace(state, informed_neighbors=informed), []
+        targets = sorted(state.known_neighbors - informed, key=vertex_key)
+        new_state = TwoSetBroadcastState(True, informed | set(targets), state.known_neighbors)
+        return new_state, [(r, "token") for r in targets]
+
+    def output(self, state):
+        return state.have_message
+
+    def format_output(self, value):
+        return bool_to_str(value)

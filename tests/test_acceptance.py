@@ -20,7 +20,10 @@
  9. traces and metrics are byte-identical across runs and interpreter
     invocations;
 10. earliest-arrival queries match an exhaustive time-expanded search;
-11. flood informs every vertex at its earliest deliverable arrival.
+11. flood informs every vertex at its earliest deliverable arrival;
+12. the time measure is invariant under dilation (every tick and latency
+    times k gives the trace with every time times k, and equal steps) and,
+    for ug and flood, under a delay of every schedule.
 """
 
 import hashlib
@@ -41,9 +44,11 @@ from hypothesis import strategies as st
 from conftest import nx_to_static
 from oracles import (
     adversary_by_restarts,
+    dilate,
     enumerate_connected_spanning_subgraphs,
     is_smds_bruteforce,
     present_at,
+    shift,
 )
 from tvgsim.engine import (
     MESSAGE_DELIVERED,
@@ -63,8 +68,8 @@ from tvgsim.graphs import (
     is_smds_via_cutsets,
     make_edge,
 )
-from tvgsim.metrics import convergence_steps, nps_ug
-from tvgsim.protocols import FloodProtocol, MdstProtocol, UgProtocol
+from tvgsim.metrics import ComplexityReport, convergence_steps, nps_ug
+from tvgsim.protocols import PROTOCOLS, FloodProtocol, MdstProtocol, UgProtocol, get_protocol
 from tvgsim.scenarios import (
     adversary_destabilize,
     generate_gk,
@@ -146,12 +151,31 @@ def test_star_strong_set_is_center(size):
 # --- 3: convergence within diameter-many steps -----------------------------
 
 def test_ug_converges_to_underlying_graph_within_diameter_steps(ug_corpus):
+    """The bound holds at process latency 0, which every corpus scenario has.
+    Neither the communication step nor the starting time counts the process
+    latency, so above 0 it can fail (see the next test)."""
     for tvg, trace in ug_corpus:
         ug = tvg.graph
         assert all(out == ug for out in trace.final_outputs.values())
         done = lambda outs: all(out == ug for out in outs.values())
         report = convergence_steps(trace, nps_ug(ug), done)
         assert report.convergence_steps <= diameter(eventual_underlying_graph(tvg))
+
+
+@pytest.mark.parametrize("process_latency,steps", [(0, 1), (1, 3), (3, 7)])
+def test_ug_diameter_bound_assumes_no_process_latency(process_latency, steps):
+    # Edges p1-p2 and p1-p3, both present from tick 2 on, latency 1:
+    # diameter 2.  Each handler runs a process latency after its event, and
+    # the measure counts that delay in neither its step nor its start.
+    tvg = generate_random_cot(3, 0.0, 0.3, 8, 104)
+    ug = tvg.graph
+    assert ug.sorted_edges() == [("p1", "p2"), ("p1", "p3")]
+    assert set(tvg.schedule.values()) == {PresenceSchedule.of([], PeriodicTail(2, 1, 1))}
+    assert set(tvg.latency.values()) == {1}
+    assert diameter(eventual_underlying_graph(tvg)) == 2
+    trace = run(replace(tvg, process_latency=process_latency), UgProtocol(), 60)
+    report = convergence_steps(trace, nps_ug(ug), lambda outs: all(out == ug for out in outs.values()))
+    assert (report.step, report.starting_time, report.convergence_steps) == (1, 2, steps)
 
 
 # --- 4: shortcut chains force linear convergence ---------------------------
@@ -575,3 +599,52 @@ def test_flood_arrival_matches_earliest_arrival(missing):
             assert informed.get(v) == want, (seed, origin, v)
             pairs += 1
     assert pairs > 1000
+
+
+# --- 12: the time measure under dilation and shift -------------------------
+
+# Every 7th scenario of the ug corpus, so that n and the extra-edge
+# probability both run through all their values; mdst only on n <= 8.
+METAMORPHIC_SEEDS = range(0, UG_CORPUS_SIZE, 7)
+METAMORPHIC_HORIZON = 200
+
+
+def _metamorphic_cases(names):
+    for seed in METAMORPHIC_SEEDS:
+        n = 2 + seed % 9
+        tvg = generate_random_cot(n, (seed % 5) / 10.0, 0.0, 32, seed)
+        for name in names:
+            if name != "mdst" or n <= 8:
+                yield seed, tvg, name
+
+
+def _measured(tvg, name, horizon):
+    """The trace of ``name`` on ``tvg`` and its report, converged meaning
+    the outputs equal the final outputs, as ``simulate --metrics`` reads it."""
+    origin = "p1" if PROTOCOLS[name].takes_origin else None
+    trace = run(tvg, get_protocol(name, origin), horizon)
+    final = trace.final_outputs
+    report = convergence_steps(trace, PROTOCOLS[name].nps(tvg.graph, origin), lambda outs: outs == final)
+    return trace, report
+
+
+def test_dilation_scales_every_time_and_keeps_the_steps():
+    for seed, tvg, name in _metamorphic_cases(["ug", "flood", "mdst"]):
+        # The corpus has process latency 0; a third of the cases get 1, a third 2.
+        tvg = replace(tvg, process_latency=seed % 3)
+        trace, report = _measured(tvg, name, METAMORPHIC_HORIZON)
+        for k in (2, 3):
+            dilated, dilated_report = _measured(dilate(tvg, k), name, k * METAMORPHIC_HORIZON)
+            assert dilated.events == [ev._replace(time=k * ev.time) for ev in trace.events], (name, k)
+            assert dilated.final_outputs == trace.final_outputs
+            assert dilated_report == ComplexityReport(
+                k * report.step, k * report.starting_time, k * report.convergence_tick, report.convergence_steps
+            )
+
+
+def test_shift_keeps_the_steps():
+    for _, tvg, name in _metamorphic_cases(["ug", "flood"]):
+        _, report = _measured(tvg, name, METAMORPHIC_HORIZON)
+        for d in (1, 17):
+            _, shifted_report = _measured(shift(tvg, d), name, METAMORPHIC_HORIZON + d)
+            assert shifted_report.convergence_steps == report.convergence_steps, (name, d)

@@ -47,6 +47,20 @@ def test_analyze_star(tmp_path, capsys):
     assert "strong minimal dominating set: {hub}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--all-mds", "--smds"])
+def test_analyze_checks_the_subset_scan_cap_before_any_output(tmp_path, capsys, flag):
+    path = tmp_path / "path13.txt"
+    edges = "".join(f"edge: p{i} p{i + 1}\n" for i in range(1, 13))
+    path.write_text("vertices: " + ", ".join(f"p{i}" for i in range(1, 14)) + "\n" + edges)
+    assert main(["analyze", str(path), flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: subset scan capped at 12 vertices")
+    # Without either flag the graph is analyzed as before.
+    assert main(["analyze", str(path)]) == 0
+    assert "diameter: 12" in capsys.readouterr().out
+
+
 def test_analyze_disconnected(tmp_path, capsys):
     path = tmp_path / "d.txt"
     path.write_text("vertices: a, b, c\nedge: a b\n")

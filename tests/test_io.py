@@ -38,6 +38,8 @@ def test_parse_graph_text():
     [
         ("edge: a b\n", "expected 'vertices:"),
         ("vertices:\n", "empty vertex list"),
+        ("vertices: a,,b\n", "line 1: empty vertex identifier"),
+        ("vertices: a, b,\n", "line 1: empty vertex identifier"),
         ("vertices: a, a\n", "duplicate"),
         ("vertices: a-b\n", "invalid identifier"),
         ("vertices: a, b\nedge: a\n", "expected 'edge:"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import graph_to_str
+from oracles import TwoSetFloodProtocol, graph_to_str
 from tvgsim.cli import build_parser
 from tvgsim.engine import OUTPUT_CHANGED, Protocol, run
 from tvgsim.errors import DomainError
@@ -307,3 +307,29 @@ def test_flood_origin_only_when_isolated_late():
     trace = run(g1, FloodProtocol("p3"), 2)
     # p3's only edge appears at tick 1; nothing can be delivered before tick 2
     assert trace.final_outputs == {"p0": False, "p1": False, "p2": False, "p3": True}
+
+
+FLOOD_IDS = st.sampled_from(["p0", "p1", "p2", "p3", "p10"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from(["appear", "receive"]), FLOOD_IDS), max_size=12),
+)
+def test_flood_matches_the_two_set_flood_on_any_call_sequence(at_origin, calls):
+    # Any sequence of handler calls, not only one a run produces: a receive
+    # may come from a vertex never seen through an edge.
+    origin = "p0" if at_origin else "p1"
+    one, two = FloodProtocol(origin), TwoSetFloodProtocol(origin)
+    s1, s2 = one.initial_state("p0"), two.initial_state("p0")
+    assert one.output(s1) == two.output(s2)
+    for kind, other in calls:
+        if kind == "appear":
+            s1, sends1 = one.on_edge_appear(s1, "p0", other)
+            s2, sends2 = two.on_edge_appear(s2, "p0", other)
+        else:
+            s1, sends1 = one.on_receive(s1, "p0", other, "token")
+            s2, sends2 = two.on_receive(s2, "p0", other, "token")
+        assert sends1 == sends2
+        assert one.output(s1) == two.output(s2)
