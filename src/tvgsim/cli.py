@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import graphs, io, metrics, scenarios
 from .engine import Protocol, run
-from .errors import NotConvergedError, ParseError, TvgsimError
+from .errors import DomainError, NotConvergedError, ParseError, TvgsimError
 from .graphs import vertex_key
 from .protocols import PROTOCOLS, get_protocol
 from .tvg import earliest_arrival
@@ -93,6 +93,13 @@ def cmd_simulate(args) -> int:
     if not problem.converged(tvg, trace.final_outputs):
         raise NotConvergedError("not converged within horizon")
     if args.metrics:
+        if not tvg.graph.edges:
+            raise DomainError("the time measure is undefined: the graph has no edge")
+        if tvg.process_latency:
+            print(
+                f"note: the step and the starting time do not count the process latency ({tvg.process_latency})",
+                file=sys.stderr,
+            )
         nps = problem.nps(tvg.graph, args.origin)
         final = trace.final_outputs
         report = metrics.convergence_steps(trace, nps, lambda outs: outs == final)

@@ -7,13 +7,13 @@ growth is propagated (full graph, not deltas) to every neighbor seen so far.
 Its local graphs are ``UgGraph`` values: a vertex mask and an edge mask over
 the protocol instance's ``EdgeIndex``, which gives each vertex and each edge
 the next free bit the first time the instance meets it (``MdstProtocol``
-inherits the index).  Union is ``|`` and containment ``a & ~b == 0``.  A value
-is equal to the ``StaticGraph`` it stands for, with the same hash, so the
-problem predicates and the dominating-set memo read it as that graph;
-``vertices``, ``edges`` and ``graph`` build the graph on demand.  Formatting
-puts a mask's bits into canonical order through a permutation that the index
-rebuilds only after it has grown, then joins the labels it built with it.  A
-payload from another instance's index is a ``DomainError``.
+inherits the index).  Union is ``|`` and containment ``a & ~b == 0``.  Values
+compare and hash as plain ``(vmask, emask, index)`` triples, so two are equal
+only within one instance; ``vertices``, ``edges`` and ``graph`` build the
+``StaticGraph`` a value stands for, which is what compares across instances.
+Formatting puts a mask's bits into canonical order through a permutation that
+the index rebuilds only after it has grown, then joins the labels it built
+with it.  A payload from another instance's index is a ``DomainError``.
 
 Each protocol class also states the problem it solves: ``converged`` decides
 whether final outputs solve it on a scenario, and ``nps`` gives its family of
@@ -25,7 +25,7 @@ rather than off the instance it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Dict, FrozenSet, Optional, Tuple
@@ -120,16 +120,15 @@ def _joined(table, mask: int) -> str:
     return ",".join(compress(labels, permute(_digits(mask, len(labels)))))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class UgGraph:
-    """A ug local graph: a vertex mask and an edge mask over ``index``.  It is
-    equal to the ``StaticGraph`` it stands for, with the same hash, whichever
-    index either side comes from; ``graph`` builds that graph."""
+    """A ug local graph: a vertex mask and an edge mask over ``index``.  Equal
+    values share the index and both masks; ``graph`` builds the graph a value
+    stands for, to compare with a graph or with another instance's value."""
 
     vmask: int
     emask: int
     index: EdgeIndex
-    _hash: Optional[int] = field(default=None, init=False, repr=False)
 
     @property
     def vertices(self) -> FrozenSet[VertexId]:
@@ -142,18 +141,6 @@ class UgGraph:
     @property
     def graph(self) -> StaticGraph:
         return StaticGraph(self.vertices, self.edges)
-
-    def __eq__(self, other):
-        if type(other) is UgGraph and other.index is self.index:
-            return self.emask == other.emask and self.vmask == other.vmask
-        if not isinstance(other, (UgGraph, StaticGraph)):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.graph))
-        return self._hash
 
 
 def bool_to_str(b: bool) -> str:
@@ -206,7 +193,7 @@ class UgProtocol(Protocol):
     @staticmethod
     def converged(tvg, outputs):
         target = tvg.graph
-        return all(out == target for out in outputs.values())
+        return all(out.graph == target for out in outputs.values())
 
     @staticmethod
     def nps(graph, origin):
@@ -218,38 +205,42 @@ class UgProtocol(Protocol):
 # appearance (normal-form occurrences never touch, and the process latency
 # shifts both alike), and both endpoints see the same sequence.  So an edge's
 # count of events seen says all there is: odd means last seen up, and counts
-# merge consistently by taking the higher.
+# merge consistently by taking the higher.  Counts are keyed by the edge's bit
+# in the instance's ``EdgeIndex``.
 @dataclass(frozen=True)
 class MdstState:
     ug: UgState
     # Never mutated: every change builds a new dict, so a state (and the
     # payloads that share its dict) stays valid once handed out.
-    edge_status: Dict[Edge, int]
+    edge_status: Dict[int, int]
     in_mdst: bool
 
 
-def mdst_chosen_set(local_graph: UgGraph, status: Dict[Edge, int], self_v: VertexId) -> FrozenSet[VertexId]:
+def mdst_chosen_set(local_graph: UgGraph, status: Dict[int, int], self_v: VertexId) -> FrozenSet[VertexId]:
     """The dominating set the process currently commits to.
 
     A strong minimal dominating set of the known footprint wins when one
     exists (stable: insensitive to presence churn).  Otherwise the process
     falls back to the first canonical minimal dominating set of its best
     estimate of the edges that keep reappearing, i.e. the footprint minus
-    edges last seen down."""
-    down = frozenset(e for e, count in status.items() if count % 2 == 0)
+    edges last seen down.  ``status`` maps edge bits to counts."""
+    # The bits are distinct powers of two, so their sum is their union.
+    down = sum(bit for bit, count in status.items() if count % 2 == 0)
     return _mdst_decision(local_graph, down, self_v)
 
 
 @bounded_cache
-def _mdst_decision(local_graph: UgGraph, down: FrozenSet[Edge], self_v: VertexId) -> FrozenSet[VertexId]:
+def _mdst_decision(local_graph: UgGraph, down: int, self_v: VertexId) -> FrozenSet[VertexId]:
     # Pure in its arguments; the kernel is called through module globals so
     # that a rebinding of them (a profiler's, say) sees every miss.  Only a
-    # miss builds the graph the value stands for.
+    # miss builds the graph the value stands for.  Removing edges only splits
+    # components, so dropping the down edges from the whole value leaves
+    # self_v's component as dropping them from that component would.
     comp = local_graph.graph.component_of(self_v)
     chosen = find_smds(comp)
     if chosen is not None:
         return chosen
-    est = StaticGraph(comp.vertices, comp.edges - down)
+    est = UgGraph(local_graph.vmask, local_graph.emask & ~down, local_graph.index).graph
     return enumerate_minimal_dominating_sets(est.component_of(self_v))[0]
 
 
@@ -258,10 +249,10 @@ def true_set(outputs: Dict[VertexId, object]) -> FrozenSet[VertexId]:
     return frozenset(v for v, out in outputs.items() if out)
 
 
-def _merge_status(mine: Dict[Edge, int], theirs: Dict[Edge, int]) -> Dict[Edge, int]:
+def _merge_status(mine: Dict[int, int], theirs: Dict[int, int]) -> Dict[int, int]:
     """``mine`` updated with every newer entry of ``theirs``; ``mine`` itself
     when nothing is newer."""
-    newer = {e: count for e, count in theirs.items() if count > mine.get(e, 0)}
+    newer = {bit: count for bit, count in theirs.items() if count > mine.get(bit, 0)}
     return {**mine, **newer} if newer else mine
 
 
@@ -274,7 +265,7 @@ class MdstProtocol(UgProtocol):
     def initial_state(self, vertex):
         return self._publish(super().initial_state(vertex), {}, vertex)[0]
 
-    def _publish(self, ug: UgState, status: Dict[Edge, int], vertex, skip=frozenset()):
+    def _publish(self, ug: UgState, status: Dict[int, int], vertex, skip=frozenset()):
         """The state of ``ug`` and ``status`` with membership recomputed; send
         (graph, status) to every known neighbor not in ``skip``."""
         chosen = mdst_chosen_set(ug.local_graph, status, vertex)
@@ -284,8 +275,8 @@ class MdstProtocol(UgProtocol):
 
     def _observe(self, state: MdstState, ug_state: UgState, vertex, other):
         """Count one appearance or disappearance of edge vertex-other."""
-        e = make_edge(vertex, other)
-        status = {**state.edge_status, e: state.edge_status.get(e, 0) + 1}
+        ebit = self._index.edge_bits(vertex, other)[0]
+        status = {**state.edge_status, ebit: state.edge_status.get(ebit, 0) + 1}
         return self._publish(ug_state, status, vertex)
 
     def on_edge_appear(self, state, vertex, other):

@@ -4,7 +4,8 @@
     with brute force over all connected graphs on <= 6 vertices;
  2. existence fixtures for trees, stars, C_5 and K_3;
  3. the underlying-graph protocol converges within diameter-many steps on a
-    seeded random corpus;
+    seeded random corpus and, at process latency 0, over eventually missing
+    edges on a grid of spans;
  4. the shortcut chain family forces a convergence time linear in the chain
     length;
  5. underlying-graph outputs grow monotonically;
@@ -58,7 +59,7 @@ from tvgsim.engine import (
     Protocol,
     run,
 )
-from tvgsim.errors import DomainError
+from tvgsim.errors import DomainError, GenerationError
 from tvgsim.graphs import (
     StaticGraph,
     diameter,
@@ -153,13 +154,35 @@ def test_star_strong_set_is_center(size):
 def test_ug_converges_to_underlying_graph_within_diameter_steps(ug_corpus):
     """The bound holds at process latency 0, which every corpus scenario has.
     Neither the communication step nor the starting time counts the process
-    latency, so above 0 it can fail (see the next test)."""
+    latency, so above 0 it can fail (see
+    test_ug_diameter_bound_assumes_no_process_latency)."""
     for tvg, trace in ug_corpus:
         ug = tvg.graph
-        assert all(out == ug for out in trace.final_outputs.values())
-        done = lambda outs: all(out == ug for out in outs.values())
+        assert all(out.graph == ug for out in trace.final_outputs.values())
+        done = lambda outs: all(out.graph == ug for out in outs.values())
         report = convergence_steps(trace, nps_ug(ug), done)
         assert report.convergence_steps <= diameter(eventual_underlying_graph(tvg))
+
+
+def test_ug_diameter_bound_holds_over_eventually_missing_edges():
+    """The bound at process latency 0 over scenarios whose eventually missing
+    edges appear only early, on a grid of spans.  Draws the generator
+    refuses (it could not mark that many edges missing) are skipped."""
+    ran = 0
+    for missing, extra, span, n, seed in itertools.product(
+        (0.2, 0.5), (0.0, 0.2, 0.5), (8, 16, 64), range(3, 9), range(4)
+    ):
+        try:
+            tvg = generate_random_cot(n, extra, missing, span, seed)
+        except GenerationError:
+            continue
+        ug = tvg.graph
+        trace = run(tvg, UgProtocol(), 800)
+        assert all(out.graph == ug for out in trace.final_outputs.values())
+        report = convergence_steps(trace, nps_ug(ug), lambda outs: all(out.graph == ug for out in outs.values()))
+        assert report.convergence_steps <= diameter(eventual_underlying_graph(tvg)), (missing, extra, span, n, seed)
+        ran += 1
+    assert ran == 405  # of 432 draws
 
 
 @pytest.mark.parametrize("process_latency,steps", [(0, 1), (1, 3), (3, 7)])
@@ -174,7 +197,7 @@ def test_ug_diameter_bound_assumes_no_process_latency(process_latency, steps):
     assert set(tvg.latency.values()) == {1}
     assert diameter(eventual_underlying_graph(tvg)) == 2
     trace = run(replace(tvg, process_latency=process_latency), UgProtocol(), 60)
-    report = convergence_steps(trace, nps_ug(ug), lambda outs: all(out == ug for out in outs.values()))
+    report = convergence_steps(trace, nps_ug(ug), lambda outs: all(out.graph == ug for out in outs.values()))
     assert (report.step, report.starting_time, report.convergence_steps) == (1, 2, steps)
 
 
@@ -185,7 +208,7 @@ def test_shortcut_chain_lower_bound(k):
     tvg = generate_gk(k)
     ug = tvg.graph
     trace = run(tvg, UgProtocol(), 20 + 10 * k)
-    done = lambda outs: all(out == ug for out in outs.values())
+    done = lambda outs: all(out.graph == ug for out in outs.values())
     report = convergence_steps(trace, nps_ug(ug), done)
     assert report.starting_time == 1
     assert Fraction(2 * k) <= report.convergence_steps <= Fraction(3 * k)
@@ -387,7 +410,7 @@ def _corpus_digest():
         ug = tvg.graph
         trace = run(tvg, UgProtocol(), 20 + 10 * k)
         h.update(trace.serialize().encode())
-        done = lambda outs: all(out == ug for out in outs.values())
+        done = lambda outs: all(out.graph == ug for out in outs.values())
         report = convergence_steps(trace, nps_ug(ug), done)
         h.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
     return h.hexdigest()
@@ -628,6 +651,16 @@ def _measured(tvg, name, horizon):
     return trace, report
 
 
+def _records(trace, k=1):
+    """The trace's records with every time times ``k`` and each output
+    value formatted, so that two runs' ug values compare."""
+    fmt = trace.format_output
+    return [
+        (k * t, kind, subject, fmt(value) if kind == OUTPUT_CHANGED else value)
+        for t, kind, subject, value in trace.events
+    ]
+
+
 def test_dilation_scales_every_time_and_keeps_the_steps():
     for seed, tvg, name in _metamorphic_cases(["ug", "flood", "mdst"]):
         # The corpus has process latency 0; a third of the cases get 1, a third 2.
@@ -635,8 +668,8 @@ def test_dilation_scales_every_time_and_keeps_the_steps():
         trace, report = _measured(tvg, name, METAMORPHIC_HORIZON)
         for k in (2, 3):
             dilated, dilated_report = _measured(dilate(tvg, k), name, k * METAMORPHIC_HORIZON)
-            assert dilated.events == [ev._replace(time=k * ev.time) for ev in trace.events], (name, k)
-            assert dilated.final_outputs == trace.final_outputs
+            assert _records(dilated) == _records(trace, k), (name, k)
+            assert dilated.final_lines == trace.final_lines
             assert dilated_report == ComplexityReport(
                 k * report.step, k * report.starting_time, k * report.convergence_tick, report.convergence_steps
             )

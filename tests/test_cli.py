@@ -1,6 +1,7 @@
 import json
 import pathlib
 import shlex
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from conftest import ForwardingProxy
 from tvgsim.cli import main
 from tvgsim.io import save_scenario
 from tvgsim.protocols import MdstProtocol
-from tvgsim.scenarios import ALWAYS, generate_gk, named_graph
+from tvgsim.scenarios import ALWAYS, generate_gk, generate_random_cot, named_graph
 from tvgsim.tvg import Tvg
 
 C5_TEXT = "vertices: a, b, c, d, e\n" + "".join(
@@ -213,6 +214,37 @@ def test_simulate_flood(g1_file, capsys):
 def test_simulate_metrics_report(g1_file, capsys, argv, report):
     assert main(["simulate", g1_file, *argv, "--metrics"]) == 0
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1]) == report
+
+
+@pytest.mark.parametrize("protocol,final", [("ug", "p1 p1|"), ("mdst", "p1 true"), ("flood", "p1 true")])
+def test_simulate_metrics_on_one_vertex_says_the_measure_is_undefined(tmp_path, capsys, protocol, final):
+    path = tmp_path / "one.json"
+    path.write_text('{"vertices": ["p1"], "edges": []}')
+    origin = ["--origin", "p1"] if protocol == "flood" else []
+    assert main(["simulate", str(path), "--protocol", protocol, *origin, "--horizon", "10", "--metrics"]) == 2
+    out, err = capsys.readouterr()
+    assert out == final + "\n"
+    assert err == "error: the time measure is undefined: the graph has no edge\n"
+
+
+@pytest.mark.parametrize(
+    "process_latency,note,steps",
+    [(0, "", 1), (3, "note: the step and the starting time do not count the process latency (3)\n", 7)],
+)
+def test_simulate_metrics_notes_an_uncounted_process_latency(tmp_path, capsys, process_latency, note, steps):
+    # The star p1-p2, p1-p3 of the README, both edges present from tick 2 on.
+    path = tmp_path / "star.json"
+    save_scenario(replace(generate_random_cot(3, 0.0, 0.3, 8, 104), process_latency=process_latency), str(path))
+    assert main(["simulate", str(path), "--protocol", "ug", "--horizon", "60", "--metrics"]) == 0
+    out, err = capsys.readouterr()
+    assert err == note
+    assert json.loads(out.splitlines()[-1]) == {
+        "convergence_steps_den": 1,
+        "convergence_steps_num": steps,
+        "convergence_tick": 2 + steps,
+        "starting_time": 2,
+        "step": 1,
+    }
 
 
 def test_simulate_mdst(g1_file, capsys):

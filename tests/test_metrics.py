@@ -82,7 +82,7 @@ def test_output_timeline_and_convergence():
     timeline = output_timeline(trace)
     assert timeline[0][0] == 0
     assert [t for (t, _) in timeline] == sorted({t for (t, _) in timeline})
-    done = lambda outs: all(out == ug for out in outs.values())
+    done = lambda outs: all(out.graph == ug for out in outs.values())
     assert convergence_tick(trace, done) == 3
     with pytest.raises(DomainError):
         convergence_tick(trace, lambda outs: False)
@@ -92,7 +92,7 @@ def test_convergence_steps_report():
     g1 = generate_gk(1)
     ug = g1.graph
     trace = run(g1, UgProtocol(), 30)
-    done = lambda outs: all(out == ug for out in outs.values())
+    done = lambda outs: all(out.graph == ug for out in outs.values())
     report = convergence_steps(trace, nps_ug(ug), done)
     assert report.step == 1
     assert report.starting_time == 1

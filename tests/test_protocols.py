@@ -85,13 +85,17 @@ def test_ug_values_format_and_compare_as_their_graphs(owner, pairs, later_owner,
     later = ug_value(protocol, later_owner, later_pairs)
     assert protocol.format_output(value) == _graph_to_str_by_sorting(value.graph)
     assert protocol.format_output(later) == _graph_to_str_by_sorting(later.graph)
-    # A value is its graph, in both directions and by hash.
-    assert value == value.graph and value.graph == value
-    assert hash(value) == hash(value.graph)
+    # Within one instance, values compare and hash as their graphs do.
+    again = ug_value(protocol, owner, pairs)
+    assert again == value and hash(again) == hash(value)
     assert (value == later) == (value.graph == later.graph)
-    # Another instance meets the edges in the other order, so its bits differ.
+    # A value is not the graph it stands for.
+    assert value != value.graph and value.graph != value
+    # Another instance meets the edges in the other order, so its bits differ:
+    # its value is never equal, its graph is.
     twin = ug_value(UgProtocol(), owner, pairs[::-1])
-    assert twin == value and value == twin and hash(twin) == hash(value)
+    assert twin != value and value != twin
+    assert twin.graph == value.graph
     with pytest.raises(DomainError, match="another protocol instance"):
         protocol.on_receive(protocol.initial_state(owner), owner, later_owner, twin)
 
@@ -126,7 +130,7 @@ def test_ug_receive_result_is_the_union(local_edges, payload_edges, extend):
     if payload.edges <= local.edges:
         assert new_state is state and sends == []
         return
-    assert new_state.local_graph == local.graph.union(payload.graph)
+    assert new_state.local_graph.graph == local.graph.union(payload.graph)
     assert new_state.known_neighbors == state.known_neighbors
     assert sends == [("c", new_state.local_graph), ("d", new_state.local_graph)]
 
@@ -174,7 +178,7 @@ def test_registry_feeds_cli_and_owns_problem_semantics():
 def test_ug_converges_on_static_graphs(name, size):
     g = named_graph(name, size)
     trace = run(static_tvg(g), UgProtocol(), 40)
-    assert all(out == g for out in trace.final_outputs.values())
+    assert all(out.graph == g for out in trace.final_outputs.values())
 
 
 def test_ug_outputs_grow_monotonically():
@@ -212,15 +216,21 @@ def test_mdst_fallback_on_cycle_without_suppression():
 
 def test_mdst_chosen_set_respects_down_status():
     g = named_graph("cycle", 5)
-    # with p1-p2 reported down (an even count), the estimate is the path p2..p5-p1
-    status = {("p1", "p2"): 2}
     protocol = UgProtocol()
-    chosen = mdst_chosen_set(ug_value(protocol, "p1", g.sorted_edges()), status, "p1")
+    local = ug_value(protocol, "p1", g.sorted_edges())
+    # with p1-p2 reported down (an even count), the estimate is the path p2..p5-p1
+    status = {local.index.edge_bits("p1", "p2")[0]: 2}
+    chosen = mdst_chosen_set(local, status, "p1")
     # agreement across processes
     assert chosen == mdst_chosen_set(ug_value(protocol, "p4", g.sorted_edges()), status, "p4")
     est = StaticGraph(g.vertices, g.edges - {("p1", "p2")})
     # the estimate is a tree, where the first minimal dominating set is strong
     assert chosen == find_smds(est)
+
+
+def _by_bit(value, status):
+    """``status``, keyed by edge, keyed by each edge's bit in ``value``'s index."""
+    return {value.index.edge_bits(u, w)[0]: count for (u, w), count in status.items()}
 
 
 def _component(g, v):
@@ -273,9 +283,14 @@ def test_memoized_chosen_set_matches_uncached_recomputation(view):
     status = dict(zip(g.sorted_edges(), counts))
     v = f"p{who}"
     expected = _chosen_set_uncached(g, status, v)
-    assert mdst_chosen_set(ug_value(UgProtocol(), v, g.sorted_edges()), status, v) == expected
-    # A cache hit, on the same graph from an instance with other bits.
-    assert mdst_chosen_set(ug_value(UgProtocol(), v, g.sorted_edges()[::-1]), dict(status), v) == expected
+    protocol = UgProtocol()
+    value = ug_value(protocol, v, g.sorted_edges())
+    assert mdst_chosen_set(value, _by_bit(value, status), v) == expected
+    # A cache hit, on an equal value that the same instance builds again.
+    assert mdst_chosen_set(ug_value(protocol, v, g.sorted_edges()), _by_bit(value, status), v) == expected
+    # The same graph from an instance with other bits.
+    twin = ug_value(UgProtocol(), v, g.sorted_edges()[::-1])
+    assert mdst_chosen_set(twin, _by_bit(twin, status), v) == expected
 
 
 def test_cache_stats_repeat_and_stay_bounded():
