@@ -1,7 +1,7 @@
 """Deterministic simulation and analysis of distributed algorithms on
 time-varying graphs."""
 
-from .engine import Protocol, Simulation, Trace, TraceEvent, output_timeline, run
+from .engine import Protocol, Simulation, Trace, TraceEvent, TraceWriter, output_timeline, run
 from .errors import (
     CapacityError,
     DomainError,
@@ -29,6 +29,7 @@ from .io import load_graph_file, load_scenario, parse_graph_text, save_scenario
 from .metrics import (
     ComplexityReport,
     NpsFamily,
+    ReportFold,
     communication_step,
     convergence_steps,
     convergence_tick,

@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from . import graphs, io, metrics, scenarios
-from .engine import Protocol, run
+from .engine import Protocol, TraceWriter, run
 from .errors import DomainError, NotConvergedError, ParseError, TvgsimError
 from .graphs import vertex_key
 from .protocols import PROTOCOLS, get_protocol
@@ -84,10 +84,11 @@ def cmd_simulate(args) -> int:
     protocol = get_protocol(args.protocol, origin=args.origin)
     if not isinstance(protocol, Protocol):
         problem.check(tvg, args.origin)
-    trace = run(tvg, protocol, args.horizon)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.serialize())
+    # The run streams its records to the trace file and the report's fold,
+    # so no trace is held in memory.
+    fold = metrics.ReportFold() if args.metrics else None
+    with TraceWriter(args.trace, fold) as trace:
+        run(tvg, protocol, args.horizon, trace)
     for line in trace.final_lines:
         print(line)
     if not problem.converged(tvg, trace.final_outputs):
@@ -100,9 +101,7 @@ def cmd_simulate(args) -> int:
                 f"note: the step and the starting time do not count the process latency ({tvg.process_latency})",
                 file=sys.stderr,
             )
-        nps = problem.nps(tvg.graph, args.origin)
-        final = trace.final_outputs
-        report = metrics.convergence_steps(trace, nps, lambda outs: outs == final)
+        report = fold.report(problem.nps(tvg.graph, args.origin))
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     return EXIT_OK
 

@@ -4,8 +4,8 @@ Events at one tick are processed in this order, which is the engine's whole
 tie-break and the order of the trace: edge disappearances, then edge
 appearances (each in canonical edge order), then message deliveries in
 message-id order, then protocol callbacks in vertex-id order (one vertex's
-callbacks in the order they were scheduled).  The engine is
-seed-independent; ``run``'s ``seed`` argument is read by nothing.
+callbacks in the order they were scheduled).  The engine draws no random
+numbers: equal inputs give equal traces.
 
 A ``Simulation`` is a run that stops and resumes.  ``advance(until)``
 processes every event with tick < ``until``, and ``run(tvg, p, h)`` is
@@ -45,20 +45,26 @@ handler, such as a delegating proxy's own function, gets every callback.
 A ``Protocol`` subclass's ``check`` runs before the first event, on the
 scenario and the protocol's ``origin``; any other object is run unchecked.
 
-The trace is a list of ``TraceEvent`` records, one per event.  A record is a
-``NamedTuple``, immutable and hashable, built by ``tuple.__new__`` without
-the class's Python-level ``__new__``: a trace is recorded on every run.  An
-``OutputChanged`` record holds the vertex and the raw output value.
-Only the ``Trace`` formats outputs, with the protocol's ``format_output``,
-when it is serialized: the metrics and the adversary format nothing.
-``output_timeline`` is the one replay of the ``OutputChanged`` records; the
-metrics read outputs over time from it.
+A run records one ``TraceEvent`` per event, appended to its sink's
+``events`` list.  A record is a ``NamedTuple``, immutable and hashable,
+built by ``tuple.__new__`` without the class's Python-level ``__new__``: a
+trace is recorded on every run.  An ``OutputChanged`` record holds the
+vertex and the raw output value.  The sink is a ``Trace`` by default, which
+keeps every record; a ``TraceWriter`` instead streams the records to a file
+at tick boundaries, a chunk at a time, and keeps O(one chunk) of them.
+Outputs are formatted, with the protocol's ``format_output``, only into
+trace lines, by ``_event_lines`` (``Trace.serialize()`` and the writer share
+it) and into the final lines: the metrics and the adversary format nothing.
+``output_timeline`` replays a ``Trace``'s ``OutputChanged`` records for the
+metrics that take any predicate; the CLI's report is a fold over the records
+a writer drains.
 """
 
 from __future__ import annotations
 
 import copy
 import heapq
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -93,8 +99,22 @@ class TraceEvent(NamedTuple):
     value: Any = None  # raw output for OutputChanged
 
 
+def _event_lines(events, format_output: Callable[[Any], str]) -> List[str]:
+    """The serialized line of each record: the one trace line format."""
+    return [
+        f"{t} {kind} {subject[0]} {format_output(value)}" if kind == OUTPUT_CHANGED else " ".join((str(t), kind) + subject)
+        for t, kind, subject, value in events
+    ]
+
+
+def _final_lines(final_outputs: Dict[VertexId, Any], format_output: Callable[[Any], str]) -> Tuple[str, ...]:
+    return tuple(f"{v} {format_output(final_outputs[v])}" for v in sorted(final_outputs, key=vertex_key))
+
+
 @dataclass
 class Trace:
+    """The in-memory sink, and ``Simulation``'s default: it keeps every record."""
+
     events: List[TraceEvent]
     initial_outputs: Dict[VertexId, Any]
     final_outputs: Dict[VertexId, Any]
@@ -102,11 +122,7 @@ class Trace:
 
     def serialize(self) -> str:
         """One line per event, ``FINAL``, then the final lines."""
-        fmt = self.format_output
-        lines = [
-            f"{t} {kind} {subject[0]} {fmt(value)}" if kind == OUTPUT_CHANGED else " ".join((str(t), kind) + subject)
-            for t, kind, subject, value in self.events
-        ]
+        lines = _event_lines(self.events, self.format_output)
         lines.append("FINAL")
         lines.extend(self.final_lines)
         lines.append("")  # the closing newline, without copying the text again
@@ -116,8 +132,81 @@ class Trace:
     def final_lines(self) -> Tuple[str, ...]:
         """``<vertex> <formatted final output>`` for every vertex, in id order.
         Formatted once and kept: ``serialize()`` and the CLI both print them."""
-        fmt, finals = self.format_output, self.final_outputs
-        return tuple(f"{v} {fmt(finals[v])}" for v in sorted(finals, key=vertex_key))
+        return _final_lines(self.final_outputs, self.format_output)
+
+
+# The records a TraceWriter lets build up before it drains them.
+CHUNK = 1024
+
+
+class TraceWriter:
+    """The streaming sink: the text of ``Trace.serialize()``, written to the
+    file at ``path`` as the run goes, in O(one chunk) records.
+
+    ``Simulation`` appends records to ``events`` and, at the end of a tick
+    once ``chunk`` records have built up and at the end of each ``advance``,
+    calls ``drain``, which hands them to ``fold`` (an object with
+    ``start(initial_outputs)`` and ``update(records)``, or None), writes
+    their lines and empties the list.  ``high_water`` is the most records
+    it has held at once.  The writer keeps the outputs at ``now``, for the
+    ``FINAL`` section, and no other record.
+
+    The file is created when the simulation starts, after the protocol's
+    check.  Used as a context manager, the writer ends the file with the
+    ``FINAL`` section and closes it when the block ends normally, and closes
+    and deletes it when the block raises, so the file holds a whole trace
+    or does not exist.  Without a ``path`` it writes nothing.
+    """
+
+    def __init__(self, path: Optional[str] = None, fold=None, chunk: int = CHUNK):
+        self.path, self.fold, self.chunk = path, fold, chunk
+        self.events: List[TraceEvent] = []
+        self.high_water = 0
+        self._file = None
+
+    def start(self, initial_outputs: Dict[VertexId, Any], format_output: Callable[[Any], str]) -> None:
+        self.final_outputs = dict(initial_outputs)
+        self.format_output = format_output
+        if self.fold is not None:
+            self.fold.start(initial_outputs)
+        if self.path is not None:
+            self._file = open(self.path, "w", encoding="utf-8")
+
+    def drain(self) -> None:
+        events = self.events
+        self.high_water = max(self.high_water, len(events))
+        if self.fold is not None:
+            self.fold.update(events)
+        if self._file is not None and events:
+            lines = _event_lines(events, self.format_output)
+            lines.append("")
+            self._file.write("\n".join(lines))
+        events.clear()
+
+    @cached_property
+    def final_lines(self) -> Tuple[str, ...]:
+        """As ``Trace.final_lines``."""
+        return _final_lines(self.final_outputs, self.format_output)
+
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        file = self._file
+        if file is None:
+            return
+        complete = False
+        try:
+            with file:
+                if exc_type is None:
+                    self.drain()
+                    file.write("FINAL\n")
+                    file.writelines(line + "\n" for line in self.final_lines)
+            complete = exc_type is None
+        finally:
+            self._file = None
+            if not complete:
+                os.remove(self.path)
 
 
 def output_timeline(trace: Trace) -> List[Tuple[Tick, Dict[VertexId, Any]]]:
@@ -202,10 +291,11 @@ class Simulation:
     processes the events before a tick, ``fork`` copies the simulation at its
     current tick, and ``amend`` changes edge schedules from that tick on.
     ``now`` is the tick before which every event has been processed, and
-    ``trace`` the trace so far, whose ``final_outputs`` are the outputs at
-    ``now``."""
+    ``trace`` the sink the records go to: ``sink``, or by default a new
+    ``Trace``, which holds the trace so far.  Its ``final_outputs`` are the
+    outputs at ``now``."""
 
-    def __init__(self, tvg: Tvg, protocol: Protocol):
+    def __init__(self, tvg: Tvg, protocol: Protocol, sink: Optional[TraceWriter] = None):
         if isinstance(protocol, Protocol):
             type(protocol).check(tvg, protocol.origin)
         verts = tvg.graph.sorted_vertices()
@@ -238,7 +328,11 @@ class Simulation:
         self.schedule: Dict[Edge, PresenceSchedule] = dict(tvg.schedule)
         self._states = {v: protocol.initial_state(v) for v in verts}
         initial_outputs = {v: protocol.output(self._states[v]) for v in verts}
-        self.trace = Trace([], initial_outputs, dict(initial_outputs), protocol.format_output)
+        if sink is None:
+            self.trace = Trace([], initial_outputs, dict(initial_outputs), protocol.format_output)
+        else:
+            sink.start(initial_outputs, protocol.format_output)
+            self.trace = sink
         # The calendar: a bucket of (downs, ups, deliveries, callbacks) per
         # tick with pending work, and that tick once on the heap.
         self._heap: List[Tick] = []
@@ -275,7 +369,7 @@ class Simulation:
         """The earliest tick with pending work, or None when there is none."""
         return self._heap[0] if self._heap else None
 
-    def advance(self, until: Tick) -> Trace:
+    def advance(self, until: Tick) -> Trace | TraceWriter:
         """Process every event with tick < ``until``; returns ``trace``."""
         if until <= 0:
             raise DomainError("horizon must be positive")
@@ -287,8 +381,10 @@ class Simulation:
         appear_items, disappear_items = self._appear_items, self._disappear_items
         states, up, pending = self._states, self._up, self._pending
         output, on_receive = self._protocol.output, self._protocol.on_receive
-        current_output = self.trace.final_outputs
-        record, new = self.trace.events.append, tuple.__new__
+        sink = self.trace
+        current_output, events = sink.final_outputs, sink.events
+        record, new = events.append, tuple.__new__
+        chunk = sink.chunk if isinstance(sink, TraceWriter) else None
         occurrences = self._occurrences
         msg_id = self._last_id
 
@@ -357,16 +453,23 @@ class Simulation:
                     else:
                         pending[e][msg_id] = (m, None)
             del buckets[tick]
+            if chunk is not None and len(events) >= chunk:
+                sink.drain()
 
+        if chunk is not None:
+            sink.drain()
         self._last_id = msg_id
         self.now = until
-        self.trace.__dict__.pop("final_lines", None)  # the outputs may have moved on
-        return self.trace
+        sink.__dict__.pop("final_lines", None)  # the outputs may have moved on
+        return sink
 
     def fork(self) -> "Simulation":
         """An independent copy at ``now``.  States, messages, ledger entries
         and calendar items are immutable and shared; every container is
-        copied, and each edge's occurrence iterator is re-seated."""
+        copied, and each edge's occurrence iterator is re-seated.  A
+        simulation that streams its trace cannot be forked."""
+        if isinstance(self.trace, TraceWriter):
+            raise DomainError("a simulation that streams its trace cannot be forked")
         twin = copy.copy(self)
         twin.schedule = dict(self.schedule)
         twin._states = dict(self._states)
@@ -409,6 +512,7 @@ class Simulation:
                 self._bucket(end)[0].append((index, e))
 
 
-def run(tvg: Tvg, protocol: Protocol, horizon: Tick, seed: int = 0) -> Trace:
-    """The trace of ``protocol`` over ``tvg`` before ``horizon``."""
-    return Simulation(tvg, protocol).advance(horizon)
+def run(tvg: Tvg, protocol: Protocol, horizon: Tick, sink: Optional[TraceWriter] = None) -> Trace | TraceWriter:
+    """The trace of ``protocol`` over ``tvg`` before ``horizon``: a new
+    ``Trace``, or ``sink`` once the run has been written to it."""
+    return Simulation(tvg, protocol, sink).advance(horizon)

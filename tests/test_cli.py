@@ -7,8 +7,9 @@ import pytest
 
 from conftest import ForwardingProxy
 from tvgsim.cli import main
-from tvgsim.io import save_scenario
-from tvgsim.protocols import MdstProtocol
+from tvgsim.engine import Simulation, TraceWriter, run
+from tvgsim.io import load_scenario, save_scenario
+from tvgsim.protocols import MdstProtocol, UgProtocol
 from tvgsim.scenarios import ALWAYS, generate_gk, generate_random_cot, named_graph
 from tvgsim.tvg import Tvg
 
@@ -123,6 +124,57 @@ def test_simulate_not_converged(g1_file, capsys):
     assert "not converged" in capsys.readouterr().err
 
 
+def test_simulate_not_converged_leaves_the_whole_trace(g1_file, tmp_path):
+    trace_path = tmp_path / "trace.txt"
+    assert main(["simulate", g1_file, "--protocol", "ug", "--horizon", "1", "--trace", str(trace_path)]) == 3
+    assert trace_path.read_text(encoding="utf-8") == run(load_scenario(g1_file), UgProtocol(), 1).serialize()
+
+
+def test_simulate_unwritable_trace_exits_1_before_the_run(g1_file, tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the run should not start")
+
+    monkeypatch.setattr(Simulation, "advance", refuse)
+    trace_path = tmp_path / "no-such-dir" / "trace.txt"
+    assert main(["simulate", g1_file, "--protocol", "ug", "--horizon", "30", "--trace", str(trace_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class _SendsAstray(ForwardingProxy):
+    """Forwards to a protocol until its ``fail_at``-th receive, which sends
+    over an edge the scenario does not have."""
+
+    def __init__(self, inner, fail_at, trace_path):
+        super().__init__(inner)
+        receive, calls = self.on_receive, []
+
+        def on_receive(state, vertex, sender, payload):
+            calls.append(vertex)
+            if len(calls) < fail_at:
+                return receive(state, vertex, sender, payload)
+            assert trace_path.exists()  # the trace is being written
+            return state, [("nowhere", payload)]
+
+        self.on_receive = on_receive
+
+
+def test_simulate_deletes_the_partial_trace_when_the_run_raises(g1_file, tmp_path, monkeypatch, capsys):
+    from tvgsim import cli
+
+    trace_path = tmp_path / "trace.txt"
+    get_protocol = cli.get_protocol
+    monkeypatch.setattr(cli, "get_protocol", lambda *a, **k: _SendsAstray(get_protocol(*a, **k), 4, trace_path))
+    monkeypatch.setattr(cli, "TraceWriter", lambda path, fold: TraceWriter(path, fold, chunk=1))
+    argv = ["simulate", g1_file, "--protocol", "ug", "--horizon", "30", "--metrics", "--trace", str(trace_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "protocol sent over unknown edge" in err
+    assert not trace_path.exists()
+
+
 def test_simulate_flood_requires_origin(g1_file):
     assert main(["simulate", g1_file, "--protocol", "flood", "--horizon", "10"]) == 1
 
@@ -138,9 +190,9 @@ def no_run(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the run should not start")
 
-    def checked_only(tvg, protocol, horizon, seed=0):
+    def checked_only(tvg, protocol, horizon, sink=None):
         monkeypatch.setattr(protocol, "initial_state", refuse)
-        return real_run(tvg, protocol, horizon, seed)
+        return real_run(tvg, protocol, horizon, sink)
 
     monkeypatch.setattr(cli, "run", checked_only)
 
