@@ -144,7 +144,7 @@ class TraceWriter:
     file at ``path`` as the run goes, in O(one chunk) records.
 
     ``Simulation`` appends records to ``events`` and, at the end of a tick
-    once ``chunk`` records have built up and at the end of each ``advance``,
+    once ``CHUNK`` records have built up and at the end of each ``advance``,
     calls ``drain``, which hands them to ``fold`` (an object with
     ``start(initial_outputs)`` and ``update(records)``, or None), writes
     their lines and empties the list.  ``high_water`` is the most records
@@ -158,8 +158,8 @@ class TraceWriter:
     or does not exist.  Without a ``path`` it writes nothing.
     """
 
-    def __init__(self, path: Optional[str] = None, fold=None, chunk: int = CHUNK):
-        self.path, self.fold, self.chunk = path, fold, chunk
+    def __init__(self, path: Optional[str] = None, fold=None):
+        self.path, self.fold, self.chunk = path, fold, CHUNK
         self.events: List[TraceEvent] = []
         self.high_water = 0
         self._file = None
@@ -291,11 +291,13 @@ class Simulation:
     processes the events before a tick, ``fork`` copies the simulation at its
     current tick, and ``amend`` changes edge schedules from that tick on.
     ``now`` is the tick before which every event has been processed, and
-    ``trace`` the sink the records go to: ``sink``, or by default a new
-    ``Trace``, which holds the trace so far.  Its ``final_outputs`` are the
-    outputs at ``now``."""
+    ``trace`` the sink the records go to: ``sink``, a ``TraceWriter``, or by
+    default a new ``Trace``, which holds the trace so far.  Its
+    ``final_outputs`` are the outputs at ``now``."""
 
     def __init__(self, tvg: Tvg, protocol: Protocol, sink: Optional[TraceWriter] = None):
+        if sink is not None and not isinstance(sink, TraceWriter):
+            raise TypeError(f"sink must be a TraceWriter or None, not {type(sink).__name__}")
         if isinstance(protocol, Protocol):
             type(protocol).check(tvg, protocol.origin)
         verts = tvg.graph.sorted_vertices()
@@ -328,6 +330,7 @@ class Simulation:
         self.schedule: Dict[Edge, PresenceSchedule] = dict(tvg.schedule)
         self._states = {v: protocol.initial_state(v) for v in verts}
         initial_outputs = {v: protocol.output(self._states[v]) for v in verts}
+        self._writer = sink
         if sink is None:
             self.trace = Trace([], initial_outputs, dict(initial_outputs), protocol.format_output)
         else:
@@ -381,10 +384,10 @@ class Simulation:
         appear_items, disappear_items = self._appear_items, self._disappear_items
         states, up, pending = self._states, self._up, self._pending
         output, on_receive = self._protocol.output, self._protocol.on_receive
-        sink = self.trace
+        sink, writer = self.trace, self._writer
         current_output, events = sink.final_outputs, sink.events
         record, new = events.append, tuple.__new__
-        chunk = sink.chunk if isinstance(sink, TraceWriter) else None
+        chunk = writer.chunk if writer is not None else None
         occurrences = self._occurrences
         msg_id = self._last_id
 
@@ -454,10 +457,10 @@ class Simulation:
                         pending[e][msg_id] = (m, None)
             del buckets[tick]
             if chunk is not None and len(events) >= chunk:
-                sink.drain()
+                writer.drain()
 
-        if chunk is not None:
-            sink.drain()
+        if writer is not None:
+            writer.drain()
         self._last_id = msg_id
         self.now = until
         sink.__dict__.pop("final_lines", None)  # the outputs may have moved on
@@ -468,7 +471,7 @@ class Simulation:
         and calendar items are immutable and shared; every container is
         copied, and each edge's occurrence iterator is re-seated.  A
         simulation that streams its trace cannot be forked."""
-        if isinstance(self.trace, TraceWriter):
+        if self._writer is not None:
             raise DomainError("a simulation that streams its trace cannot be forked")
         twin = copy.copy(self)
         twin.schedule = dict(self.schedule)

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import ForwardingProxy
 from tvgsim.cli import main
-from tvgsim.engine import Simulation, TraceWriter, run
+from tvgsim import engine
+from tvgsim.engine import Simulation, run
 from tvgsim.io import load_scenario, save_scenario
 from tvgsim.protocols import MdstProtocol, UgProtocol
 from tvgsim.scenarios import ALWAYS, generate_gk, generate_random_cot, named_graph
@@ -166,7 +167,7 @@ def test_simulate_deletes_the_partial_trace_when_the_run_raises(g1_file, tmp_pat
     trace_path = tmp_path / "trace.txt"
     get_protocol = cli.get_protocol
     monkeypatch.setattr(cli, "get_protocol", lambda *a, **k: _SendsAstray(get_protocol(*a, **k), 4, trace_path))
-    monkeypatch.setattr(cli, "TraceWriter", lambda path, fold: TraceWriter(path, fold, chunk=1))
+    monkeypatch.setattr(engine, "CHUNK", 1)  # the file is written before the run raises
     argv = ["simulate", g1_file, "--protocol", "ug", "--horizon", "30", "--metrics", "--trace", str(trace_path)]
     assert main(argv) == 2
     out, err = capsys.readouterr()

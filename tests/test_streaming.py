@@ -10,6 +10,7 @@ import pytest
 
 from test_acceptance import UG_CORPUS_SIZE, UG_HORIZON, _engine_corpus
 from trace_invariants import TraceInvariants, ug_grows
+from tvgsim import engine
 from tvgsim.engine import (
     CHUNK,
     EDGE_DOWN,
@@ -85,27 +86,30 @@ def _outcome(report):
 
 @pytest.fixture(scope="module")
 def streamed(tmp_path_factory):
-    """Per case: the in-memory run and a streamed run of the same case."""
+    """Per case: the in-memory run and a streamed run of the same case,
+    whose writer drains every 1, 7, 64 or ``CHUNK`` records in turn."""
     path = tmp_path_factory.mktemp("streamed") / "trace.txt"
     results = []
-    for i, (tvg, name, horizon) in enumerate(_cases()):
-        trace = run(tvg, _protocol(name, tvg), horizon)
-        origin = tvg.graph.sorted_vertices()[0] if name == "flood" else None
-        nps = PROTOCOLS[name].nps(tvg.graph, origin)
-        fold, checker = ReportFold(), TraceInvariants(tvg, ug_grows if name == "ug" else None)
-        with TraceWriter(str(path), _Tee(fold, checker), CHUNKS[i % len(CHUNKS)]) as writer:
-            run(tvg, _protocol(name, tvg), horizon, writer)
-        final = trace.final_outputs
-        results.append({
-            "case": (name, horizon, sorted(tvg.graph.vertices), origin),
-            "serialized": trace.serialize().encode(),
-            "streamed": path.read_bytes(),
-            "final_lines": (trace.final_lines, writer.final_lines),
-            "report": _outcome(lambda: convergence_steps(trace, nps, lambda outs: outs == final)),
-            "folded": _outcome(lambda: fold.report(nps)),
-            "violations": checker.finish(horizon),
-            "kinds": Counter(ev.kind for ev in trace.events),
-        })
+    with pytest.MonkeyPatch.context() as mp:
+        for i, (tvg, name, horizon) in enumerate(_cases()):
+            trace = run(tvg, _protocol(name, tvg), horizon)
+            origin = tvg.graph.sorted_vertices()[0] if name == "flood" else None
+            nps = PROTOCOLS[name].nps(tvg.graph, origin)
+            fold, checker = ReportFold(), TraceInvariants(tvg, ug_grows if name == "ug" else None)
+            mp.setattr(engine, "CHUNK", CHUNKS[i % len(CHUNKS)])
+            with TraceWriter(str(path), _Tee(fold, checker)) as writer:
+                run(tvg, _protocol(name, tvg), horizon, writer)
+            final = trace.final_outputs
+            results.append({
+                "case": (name, horizon, sorted(tvg.graph.vertices), origin),
+                "serialized": trace.serialize().encode(),
+                "streamed": path.read_bytes(),
+                "final_lines": (trace.final_lines, writer.final_lines),
+                "report": _outcome(lambda: convergence_steps(trace, nps, lambda outs: outs == final)),
+                "folded": _outcome(lambda: fold.report(nps)),
+                "violations": checker.finish(horizon),
+                "kinds": Counter(ev.kind for ev in trace.events),
+            })
     return results
 
 
@@ -207,3 +211,9 @@ def test_a_streaming_simulation_cannot_be_forked():
     sim.advance(10)
     with pytest.raises(DomainError, match="cannot be forked"):
         sim.fork()
+
+
+def test_a_sink_that_is_not_a_writer_is_refused():
+    tvg = generate_random_cot(4, 0.3, 0.0, 16, 1)
+    with pytest.raises(TypeError, match="sink must be a TraceWriter or None, not int"):
+        run(tvg, UgProtocol(), 10, 0)
