@@ -10,7 +10,8 @@ numbers: equal inputs give equal traces.
 A ``Simulation`` is a run that stops and resumes.  ``advance(until)``
 processes every event with tick < ``until``, and ``run(tvg, p, h)`` is
 ``Simulation(tvg, p).advance(h)``, so advancing in steps gives the trace of
-one run.  ``fork()`` copies a simulation at its current tick.
+one run.  ``fork()`` copies a simulation's state at its current tick, not its
+records: the twin records into a new ``Trace`` that starts there.
 ``amend(edge, schedule)`` changes an edge's schedule from the current tick
 on, as if the run had been on the amended scenario from tick 0: the new
 schedule must agree with the old one before that tick.  The adaptive
@@ -49,9 +50,11 @@ A run records one ``TraceEvent`` per event, appended to its sink's
 ``events`` list.  A record is a ``NamedTuple``, immutable and hashable,
 built by ``tuple.__new__`` without the class's Python-level ``__new__``: a
 trace is recorded on every run.  An ``OutputChanged`` record holds the
-vertex and the raw output value.  The sink is a ``Trace`` by default, which
-keeps every record; a ``TraceWriter`` instead streams the records to a file
-at tick boundaries, a chunk at a time, and keeps O(one chunk) of them.
+vertex and the raw output value.  ``advance`` drains every sink the same
+way: at the end of a tick once ``CHUNK`` records have built up, and at its
+own end.  The sink is a ``Trace`` by default, whose drain keeps every
+record; a ``TraceWriter``'s drain instead streams the records to a file, so
+it keeps O(one chunk) of them.
 Outputs are formatted, with the protocol's ``format_output``, only into
 trace lines, by ``_event_lines`` (``Trace.serialize()`` and the writer share
 it) and into the final lines: the metrics and the adversary format nothing.
@@ -66,7 +69,6 @@ import copy
 import heapq
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -120,6 +122,9 @@ class Trace:
     final_outputs: Dict[VertexId, Any]
     format_output: Callable[[Any], str]
 
+    def drain(self) -> None:
+        """Keeps every record."""
+
     def serialize(self) -> str:
         """One line per event, ``FINAL``, then the final lines."""
         lines = _event_lines(self.events, self.format_output)
@@ -128,14 +133,13 @@ class Trace:
         lines.append("")  # the closing newline, without copying the text again
         return "\n".join(lines)
 
-    @cached_property
+    @property
     def final_lines(self) -> Tuple[str, ...]:
-        """``<vertex> <formatted final output>`` for every vertex, in id order.
-        Formatted once and kept: ``serialize()`` and the CLI both print them."""
+        """``<vertex> <formatted final output>`` for every vertex, in id order."""
         return _final_lines(self.final_outputs, self.format_output)
 
 
-# The records a TraceWriter lets build up before it drains them.
+# The records a sink lets build up before ``advance`` drains it.
 CHUNK = 1024
 
 
@@ -143,23 +147,22 @@ class TraceWriter:
     """The streaming sink: the text of ``Trace.serialize()``, written to the
     file at ``path`` as the run goes, in O(one chunk) records.
 
-    ``Simulation`` appends records to ``events`` and, at the end of a tick
-    once ``CHUNK`` records have built up and at the end of each ``advance``,
-    calls ``drain``, which hands them to ``fold`` (an object with
-    ``start(initial_outputs)`` and ``update(records)``, or None), writes
-    their lines and empties the list.  ``high_water`` is the most records
-    it has held at once.  The writer keeps the outputs at ``now``, for the
+    ``Simulation`` appends records to ``events``; ``drain`` hands them to
+    ``fold`` (an object with ``start(initial_outputs)`` and
+    ``update(records)``, or None), writes their lines and empties the list.
+    ``high_water`` is the most records it has held at once.  The writer keeps the outputs at ``now``, for the
     ``FINAL`` section, and no other record.
 
     The file is created when the simulation starts, after the protocol's
-    check.  Used as a context manager, the writer ends the file with the
-    ``FINAL`` section and closes it when the block ends normally, and closes
-    and deletes it when the block raises, so the file holds a whole trace
-    or does not exist.  Without a ``path`` it writes nothing.
+    check.  Used as a context manager, the writer formats ``final_lines``
+    once when the block ends normally, ends the file with them as the
+    ``FINAL`` section and closes it; when the block raises, it closes and
+    deletes the file, so the file holds a whole trace or does not exist.
+    Without a ``path`` it writes nothing.
     """
 
     def __init__(self, path: Optional[str] = None, fold=None):
-        self.path, self.fold, self.chunk = path, fold, CHUNK
+        self.path, self.fold = path, fold
         self.events: List[TraceEvent] = []
         self.high_water = 0
         self._file = None
@@ -183,15 +186,12 @@ class TraceWriter:
             self._file.write("\n".join(lines))
         events.clear()
 
-    @cached_property
-    def final_lines(self) -> Tuple[str, ...]:
-        """As ``Trace.final_lines``."""
-        return _final_lines(self.final_outputs, self.format_output)
-
     def __enter__(self) -> "TraceWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.final_lines = _final_lines(self.final_outputs, self.format_output)
         file = self._file
         if file is None:
             return
@@ -199,7 +199,6 @@ class TraceWriter:
         try:
             with file:
                 if exc_type is None:
-                    self.drain()
                     file.write("FINAL\n")
                     file.writelines(line + "\n" for line in self.final_lines)
             complete = exc_type is None
@@ -288,12 +287,13 @@ def _next_up(schedule: PresenceSchedule, t: Tick):
 
 class Simulation:
     """A run of ``protocol`` over ``tvg`` that stops and resumes: ``advance``
-    processes the events before a tick, ``fork`` copies the simulation at its
-    current tick, and ``amend`` changes edge schedules from that tick on.
-    ``now`` is the tick before which every event has been processed, and
-    ``trace`` the sink the records go to: ``sink``, a ``TraceWriter``, or by
-    default a new ``Trace``, which holds the trace so far.  Its
-    ``final_outputs`` are the outputs at ``now``."""
+    processes the events before a tick, ``fork`` copies the simulation's
+    state at its current tick, and ``amend`` changes edge schedules from that
+    tick on.  ``now`` is the tick before which every event has been
+    processed, and ``trace`` the sink the records go to: ``sink``, a
+    ``TraceWriter``, or by default a new ``Trace``, which holds the records
+    since tick 0, or since the fork for a twin.  Its ``final_outputs`` are
+    the outputs at ``now``."""
 
     def __init__(self, tvg: Tvg, protocol: Protocol, sink: Optional[TraceWriter] = None):
         if sink is not None and not isinstance(sink, TraceWriter):
@@ -330,12 +330,11 @@ class Simulation:
         self.schedule: Dict[Edge, PresenceSchedule] = dict(tvg.schedule)
         self._states = {v: protocol.initial_state(v) for v in verts}
         initial_outputs = {v: protocol.output(self._states[v]) for v in verts}
-        self._writer = sink
         if sink is None:
-            self.trace = Trace([], initial_outputs, dict(initial_outputs), protocol.format_output)
+            sink = Trace([], initial_outputs, dict(initial_outputs), protocol.format_output)
         else:
             sink.start(initial_outputs, protocol.format_output)
-            self.trace = sink
+        self.trace = sink
         # The calendar: a bucket of (downs, ups, deliveries, callbacks) per
         # tick with pending work, and that tick once on the heap.
         self._heap: List[Tick] = []
@@ -384,10 +383,9 @@ class Simulation:
         appear_items, disappear_items = self._appear_items, self._disappear_items
         states, up, pending = self._states, self._up, self._pending
         output, on_receive = self._protocol.output, self._protocol.on_receive
-        sink, writer = self.trace, self._writer
-        current_output, events = sink.final_outputs, sink.events
-        record, new = events.append, tuple.__new__
-        chunk = writer.chunk if writer is not None else None
+        sink = self.trace
+        current_output, events, drain = sink.final_outputs, sink.events, sink.drain
+        record, new, chunk = events.append, tuple.__new__, CHUNK
         occurrences = self._occurrences
         msg_id = self._last_id
 
@@ -456,28 +454,26 @@ class Simulation:
                     else:
                         pending[e][msg_id] = (m, None)
             del buckets[tick]
-            if chunk is not None and len(events) >= chunk:
-                writer.drain()
+            if len(events) >= chunk:
+                drain()
 
-        if writer is not None:
-            writer.drain()
+        drain()
         self._last_id = msg_id
         self.now = until
-        sink.__dict__.pop("final_lines", None)  # the outputs may have moved on
         return sink
 
     def fork(self) -> "Simulation":
-        """An independent copy at ``now``.  States, messages, ledger entries
-        and calendar items are immutable and shared; every container is
-        copied, and each edge's occurrence iterator is re-seated.  A
-        simulation that streams its trace cannot be forked."""
-        if self._writer is not None:
-            raise DomainError("a simulation that streams its trace cannot be forked")
+        """An independent copy of the state at ``now``, whatever the sink.
+        States, messages, ledger entries and calendar items are immutable and
+        shared; every container is copied, and each edge's occurrence
+        iterator is re-seated.  No record is copied: the twin's ``trace`` is
+        a new ``Trace`` that starts at ``now``, with no records and the
+        outputs at ``now`` as its ``initial_outputs``."""
         twin = copy.copy(self)
         twin.schedule = dict(self.schedule)
         twin._states = dict(self._states)
-        trace = self.trace
-        twin.trace = Trace(list(trace.events), trace.initial_outputs, dict(trace.final_outputs), trace.format_output)
+        outputs = self.trace.final_outputs
+        twin.trace = Trace([], dict(outputs), dict(outputs), self._protocol.format_output)
         twin._heap = list(self._heap)
         twin._buckets = {t: tuple(list(phase) for phase in b) for t, b in self._buckets.items()}
         # The calendar holds each edge's first occurrence starting at or

@@ -5,7 +5,8 @@
  2. existence fixtures for trees, stars, C_5 and K_3;
  3. the underlying-graph protocol converges within diameter-many steps on a
     seeded random corpus and, at process latency 0, over eventually missing
-    edges on a grid of spans;
+    edges on a grid of spans and in a search for the worst ratio over drawn
+    graphs of 2-6 vertices;
  4. the shortcut chain family forces a convergence time linear in the chain
     length;
  5. underlying-graph outputs grow monotonically;
@@ -39,7 +40,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from conftest import nx_to_static
@@ -183,6 +184,36 @@ def test_ug_diameter_bound_holds_over_eventually_missing_edges():
         assert report.convergence_steps <= diameter(eventual_underlying_graph(tvg)), (missing, extra, span, n, seed)
         ran += 1
     assert ran == 405  # of 432 draws
+
+
+@st.composite
+def small_scenarios(draw):
+    """A connected graph of 2-6 vertices, each vertex after the first joined
+    to an earlier one, with ``random_schedule``'s schedules (process latency
+    0); some edges outside that spanning tree are eventually missing."""
+    n = draw(st.integers(2, 6))
+    verts = [f"p{i}" for i in range(1, n + 1)]
+    tree = {make_edge(verts[i], verts[draw(st.integers(0, i - 1))]) for i in range(1, n)}
+    others = [e for e in (make_edge(a, b) for a, b in itertools.combinations(verts, 2)) if e not in tree]
+    extra = draw(st.sets(st.sampled_from(others))) if others else set()
+    missing = draw(st.sets(st.sampled_from(sorted(extra)))) if extra else set()
+    span = draw(st.sampled_from((8, 16, 32, 64)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_schedule(StaticGraph.of(verts, tree | extra), missing, span, rng)
+
+
+@settings(max_examples=250, deadline=None)
+@given(small_scenarios())
+def test_ug_worst_ratio_to_the_diameter_is_at_most_one(tvg):
+    """Hypothesis steers towards the largest steps / diameter; the shortcut
+    chains stay the known lower bound (2k <= steps <= 3k)."""
+    ug = tvg.graph
+    trace = run(tvg, UgProtocol(), 400)
+    assert all(out.graph == ug for out in trace.final_outputs.values())
+    report = convergence_steps(trace, nps_ug(ug), lambda outs: all(out.graph == ug for out in outs.values()))
+    ratio = report.convergence_steps / diameter(eventual_underlying_graph(tvg))
+    target(float(ratio))
+    assert ratio <= 1
 
 
 @pytest.mark.parametrize("process_latency,steps", [(0, 1), (1, 3), (3, 7)])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adversary_by_restarts
-from tvgsim.engine import EDGE_DOWN, MESSAGE_DELIVERED, MESSAGE_LOST, OUTPUT_CHANGED, Protocol, Simulation, run
+from tvgsim.engine import EDGE_DOWN, MESSAGE_DELIVERED, MESSAGE_LOST, OUTPUT_CHANGED, Protocol, Simulation, Trace, run
 from tvgsim.errors import DomainError
 from tvgsim.graphs import StaticGraph
 from tvgsim.protocols import FloodProtocol, MdstProtocol, UgProtocol
@@ -62,16 +62,26 @@ def test_advance_in_every_step_size_on_the_corpus():
 def test_fork_leaves_its_parent_unchanged(case, k, extra):
     seed, phi, name = case
     tvg = scenario(seed, phi)
-    parent = Simulation(tvg, make_protocol(name, tvg))
+    # One protocol instance: ug values compare equal only within one.
+    protocol = make_protocol(name, tvg)
+    parent = Simulation(tvg, protocol)
     parent.advance(k)
     before = parent.trace.serialize()
+    at_fork = dict(parent.trace.final_outputs)
     child = parent.fork()
+    # The child's trace starts at the fork: no records, the outputs there.
+    assert child.trace.events == []
+    assert child.trace.initial_outputs == at_fork
     child.advance(k + extra)
     assert parent.now == k
     assert parent.trace.serialize() == before
-    expected = run(tvg, make_protocol(name, tvg), k + extra).serialize()
-    assert child.trace.serialize() == expected
-    assert parent.advance(k + extra).serialize() == expected
+    expected = run(tvg, protocol, k + extra)
+    events = parent.trace.events + child.trace.events
+    assert events == expected.events
+    joined = Trace(events, parent.trace.initial_outputs, child.trace.final_outputs, protocol.format_output)
+    assert joined.serialize() == expected.serialize()
+    assert parent.advance(k + extra).serialize() == expected.serialize()
+    assert child.trace.initial_outputs == at_fork  # no dict shared with the parent
 
 
 @settings(max_examples=80, deadline=None)

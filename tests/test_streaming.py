@@ -206,11 +206,19 @@ def test_writer_holds_at_most_a_chunk_plus_one_tick():
     assert writer.events == []
 
 
-def test_a_streaming_simulation_cannot_be_forked():
-    sim = Simulation(generate_random_cot(4, 0.3, 0.0, 16, 1), UgProtocol(), TraceWriter())
-    sim.advance(10)
-    with pytest.raises(DomainError, match="cannot be forked"):
-        sim.fork()
+def test_a_streaming_simulation_forks_into_an_in_memory_trace(tmp_path):
+    tvg = generate_random_cot(6, 0.3, 0.2, 16, 1)
+    protocol, path = UgProtocol(), tmp_path / "trace.txt"
+    expected = run(tvg, protocol, 60)
+    with TraceWriter(str(path)) as writer:
+        sim = Simulation(tvg, protocol, writer)
+        sim.advance(25)
+        twin = sim.fork()
+        sim.advance(60)
+    twin.advance(60)
+    assert path.read_text() == expected.serialize()
+    assert twin.trace.events == [ev for ev in expected.events if ev.time >= 25] != []
+    assert twin.trace.final_outputs == expected.final_outputs
 
 
 def test_a_sink_that_is_not_a_writer_is_refused():
