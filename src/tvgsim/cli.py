@@ -4,9 +4,12 @@ Exit codes: 0 success, 1 usage or parse error or a file that cannot be read
 or written, 2 domain error, 3 simulation did not converge within the horizon.
 
 The argument parser is built once per process, on the first call to
-``main``, and reused by every later call; parsing keeps no state in it, so
-each call behaves as in a fresh process.  Importing this module builds
-nothing.
+``main``, and reused by every later call; parsing keeps no state in it.
+``simulate`` and ``journey`` keep the last scenario they parsed, keyed by
+the file's bytes: a call that reads the same bytes again reuses it, and any
+other bytes are parsed afresh.  The memo holds one scenario and never holds
+an error, so each call behaves as in a fresh process.  Importing this module
+builds nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import graphs, io, metrics, scenarios
@@ -21,7 +25,7 @@ from .engine import Protocol, TraceWriter, run
 from .errors import DomainError, NotConvergedError, ParseError, TvgsimError
 from .graphs import vertex_key
 from .protocols import PROTOCOLS, get_protocol
-from .tvg import earliest_arrival
+from .tvg import Tvg, earliest_arrival
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,6 +39,20 @@ def _fmt_set(vs) -> str:
 
 def _fmt_edges(es) -> str:
     return "{" + ", ".join(f"{u}-{v}" for (u, v) in sorted(es, key=graphs.edge_key)) + "}"
+
+
+@lru_cache(maxsize=1)
+def _parse_scenario(data: bytes) -> Tvg:
+    return io.parse_scenario(data)
+
+
+def _load_scenario(path: str) -> Tvg:
+    """The scenario at ``path``; a miss parses the bytes read here, never a
+    second read.  The Tvg may be shared between calls: no command changes
+    it (a ``Simulation`` copies the schedule)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return _parse_scenario(data)
 
 
 def cmd_analyze(args) -> int:
@@ -80,7 +98,7 @@ def cmd_simulate(args) -> int:
         need = "required" if takes_origin else "not accepted"
         print(f"error: --origin is {need} with --protocol {args.protocol}", file=sys.stderr)
         return EXIT_USAGE
-    tvg = io.load_scenario(args.scenario)
+    tvg = _load_scenario(args.scenario)
     protocol = get_protocol(args.protocol, origin=args.origin)
     if not isinstance(protocol, Protocol):
         problem.check(tvg, args.origin)
@@ -107,7 +125,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_journey(args) -> int:
-    tvg = io.load_scenario(args.scenario)
+    tvg = _load_scenario(args.scenario)
     result = earliest_arrival(
         tvg, args.source, args.target, after=args.after, deliverable=args.deliverable
     )

@@ -184,12 +184,24 @@ def save_scenario(tvg: Tvg, path: str) -> None:
         fh.write("\n")
 
 
-def load_scenario(path: str) -> Tvg:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            # JSON text is UTF-8, so undecodable bytes are invalid JSON too;
-            # the decoder raises RecursionError on nesting deeper than it can.
-            raise ParseError(f"invalid JSON: {exc}") from None
+def parse_scenario(data: bytes) -> Tvg:
+    """A scenario from the bytes of its JSON file.
+
+    JSON text is UTF-8: the bytes are decoded strictly, so another encoding
+    or a byte-order mark is a ``ParseError`` and is never guessed at.  Line
+    ends are read as a text-mode file reads them, so error positions count
+    CR LF and a lone CR as one line end."""
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        obj = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # Undecodable bytes are invalid JSON too; the decoder raises
+        # RecursionError on nesting deeper than it can.
+        raise ParseError(f"invalid JSON: {exc}") from None
     return tvg_from_dict(obj)
+
+
+def load_scenario(path: str) -> Tvg:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_scenario(data)

@@ -10,16 +10,21 @@ period = duration = 1 and represents "present forever from offset".
 any other, so a schedule that exists is normal.  ``occurrences(after)`` is
 the one reader of that form: windows and masks are short walks over the
 maximal occurrences it yields.
+
+``earliest_arrival`` reads a Tvg's ``incidence`` table: each vertex's
+(neighbour, schedule, latency) triples, built on the first query and kept
+on the Tvg, so a batch of queries on one Tvg builds it once.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .graphs import Edge, StaticGraph, VertexId, is_connected, make_edge, vertex_key
+from .graphs import Edge, StaticGraph, VertexId, is_connected, make_edge
 
 Tick = int
 Interval = Tuple[Tick, Optional[Tick]]  # end None = unbounded
@@ -187,6 +192,21 @@ class Tvg:
         if self.process_latency < 0:
             raise DomainError("process latency must be non-negative")
 
+    @cached_property
+    def incidence(self) -> Dict[VertexId, Tuple[Tuple[VertexId, PresenceSchedule, Tick], ...]]:
+        """Vertex -> (neighbour, schedule, latency) for each edge at it; an
+        isolated vertex maps to ().  Built once per Tvg from its maps, so
+        they are not to be changed in place after the first query."""
+        schedule, latency = self.schedule, self.latency
+        table = {}
+        for v, neighbours in self.graph.adjacency.items():
+            row = []
+            for u in neighbours:
+                e = make_edge(v, u)
+                row.append((u, schedule[e], latency[e]))
+            table[v] = tuple(row)
+        return table
+
 
 def eventual_underlying_graph(tvg: Tvg) -> StaticGraph:
     recurrent = frozenset(e for e in tvg.graph.edges if tvg.schedule[e].recurrent)
@@ -214,23 +234,20 @@ def earliest_arrival(
         raise DomainError(f"departure tick {after} is negative")
     if source == target:
         return after
-    adjacency, schedule, latency = tvg.graph.adjacency, tvg.schedule, tvg.latency
+    incidence = tvg.incidence
     best: Dict[VertexId, Tick] = {source: after}
     # Entries (tick, len(v), v) pop in (tick, vertex_key) order.  Which
     # vertices are expanded, and so which windows are queried, does not
     # depend on the order neighbours are relaxed in.
     heap: List[Tuple[Tick, int, VertexId]] = [(after, len(source), source)]
     while heap:
-        t, lv, v = heapq.heappop(heap)
+        t, _, v = heapq.heappop(heap)
         if t > best[v]:
             continue
         if v == target:
             return t
-        vk = (lv, v)  # vertex_key(v)
-        for u in adjacency[v]:
-            e = (v, u) if vk < vertex_key(u) else (u, v)  # make_edge(v, u)
-            z = latency[e]
-            dep = schedule[e].earliest_window(t, z if deliverable else 0)
+        for u, sched, z in incidence[v]:
+            dep = sched.earliest_window(t, z if deliverable else 0)
             if dep is None:
                 continue
             arrival = dep + z

@@ -630,6 +630,27 @@ def test_earliest_arrival_matches_time_expanded_search():
     assert cases == 300
 
 
+def test_queries_sharing_one_tvg_match_time_expanded_search():
+    # Every query on a Tvg reads the incidence table built by its first one.
+    # Every other graph gets an isolated vertex, queried as source and target.
+    rng = random.Random(20261019)
+    cases = 0
+    for i in range(12):
+        tvg, verts = _random_small_tvg(rng)
+        if i % 2:
+            verts = verts + ["iso"]
+            tvg = replace(tvg, graph=StaticGraph.of(verts, tvg.graph.edges))
+        afters = rng.sample(range(21), 2)
+        for source, target in itertools.product(verts, repeat=2):
+            for deliverable, after in itertools.product((False, True), afters):
+                got = earliest_arrival(tvg, source, target, after=after, deliverable=deliverable)
+                want = _time_expanded_oracle(tvg, source, target, after, deliverable, 150)
+                assert got == want, (tvg, source, target, after, deliverable, got, want)
+                cases += 1
+        assert tvg.incidence.keys() == set(verts)
+    assert cases == 780
+
+
 # --- 11: flood follows foremost deliverable journeys -----------------------
 
 FLOOD_SEEDS = 200

@@ -399,6 +399,8 @@ def test_simulate_trace_formats_each_output_once(g1_file, tmp_path, monkeypatch)
 def test_main_keeps_no_state_between_calls(g1_file, c5_file, tmp_path, monkeypatch, capsys):
     from tvgsim import cli
 
+    # The string "rewrite g1" saves generate_gk(2) over g1_file, so the
+    # journey after it must read the new file, not the scenario memo.
     sequence = [
         ["journey", g1_file, "--from", "p1", "--to", "p3", "--after", "1", "--deliverable"],
         ["journey", g1_file, "--from", "p1", "--to", "p3", "--after", "1"],
@@ -408,9 +410,14 @@ def test_main_keeps_no_state_between_calls(g1_file, c5_file, tmp_path, monkeypat
         ["journey", g1_file, "--from", "p0", "--to", "p3"],
         ["simulate", g1_file, "--protocol", "flood", "--origin", "p0", "--horizon", "20"],
         ["simulate", g1_file, "--protocol", "ug", "--horizon", "30", "--metrics"],
+        "rewrite g1",
+        ["journey", g1_file, "--from", "p0", "--to", "p6"],  # p6 is in generate_gk(2) only
     ]
 
     def call(argv):
+        if argv == "rewrite g1":
+            save_scenario(generate_gk(2), g1_file)
+            return None
         code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -418,8 +425,11 @@ def test_main_keeps_no_state_between_calls(g1_file, c5_file, tmp_path, monkeypat
     fresh = []
     for argv in sequence:
         monkeypatch.setattr(cli, "_parser", None)
+        cli._parse_scenario.cache_clear()
         fresh.append(call(argv))
-    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 1, 0, 0, 0]
+    assert [r and r[0] for r in fresh] == [0, 0, 0, 0, 1, 0, 0, 0, None, 0]
+    # The memo now holds generate_gk(2), read from the path g1_file.
+    save_scenario(generate_gk(1), g1_file)
 
     builds = []
     build_parser = cli.build_parser
@@ -459,6 +469,86 @@ def test_deeply_nested_json_exits_1(tmp_path, monkeypatch, capsys, command):
     assert main(command) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: invalid JSON")
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+def test_journey_rejects_a_scenario_not_in_utf8_every_time(g1_file, tmp_path, capsys, encoding):
+    # The same scenario in another encoding: rejected on each load, also
+    # right after the UTF-8 file was read.
+    path = tmp_path / "other.json"
+    path.write_bytes(pathlib.Path(g1_file).read_text(encoding="utf-8").encode(encoding))
+    query = ["--from", "p1", "--to", "p3", "--after", "1", "--deliverable"]
+    assert main(["journey", g1_file, *query]) == 0
+    for _ in range(2):
+        assert main(["journey", str(path), *query]) == 1
+    assert main(["journey", g1_file, *query]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["3", "3"]
+    assert [line.startswith("error: invalid JSON") for line in captured.err.splitlines()] == [True, True]
+
+
+def _save_two_vertex_scenario(path, start):
+    """a-b present over [start, start + 2) with latency 1: the journey from a
+    to b arrives at start + 1.  Starts of one digit give files of one size."""
+    from tvgsim.graphs import StaticGraph
+    from tvgsim.tvg import PresenceSchedule
+
+    g = StaticGraph.of(["a", "b"], [("a", "b")])
+    save_scenario(Tvg(g, {("a", "b"): PresenceSchedule.of([(start, start + 2)])}, {("a", "b"): 1}), str(path))
+
+
+def _journey_a_to_b(path, capsys):
+    code = main(["journey", str(path), "--from", "a", "--to", "b"])
+    captured = capsys.readouterr()
+    return code, captured.out.strip()
+
+
+def test_journey_reads_a_rewritten_scenario(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    _save_two_vertex_scenario(path, 3)
+    before = path.read_bytes()
+    assert _journey_a_to_b(path, capsys) == (0, "4")
+    _save_two_vertex_scenario(path, 5)
+    assert len(path.read_bytes()) == len(before) != path.read_bytes()
+    assert _journey_a_to_b(path, capsys) == (0, "6")
+
+
+def test_journey_memoizes_no_parse_error(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    _save_two_vertex_scenario(path, 3)
+    good = path.read_bytes()
+    assert _journey_a_to_b(path, capsys) == (0, "4")
+    path.write_bytes(good[:-5])
+    assert _journey_a_to_b(path, capsys) == (1, "")
+    assert _journey_a_to_b(path, capsys) == (1, "")
+    path.write_bytes(good)
+    assert _journey_a_to_b(path, capsys) == (0, "4")
+
+
+def test_journey_alternating_scenarios(tmp_path, capsys):
+    paths = {tmp_path / "three.json": "4", tmp_path / "seven.json": "8"}
+    _save_two_vertex_scenario(tmp_path / "three.json", 3)
+    _save_two_vertex_scenario(tmp_path / "seven.json", 7)
+    for _ in range(3):
+        for path, answer in paths.items():
+            assert _journey_a_to_b(path, capsys) == (0, answer)
+
+
+def test_scenario_memo_holds_one_scenario(tmp_path, capsys):
+    import gc
+    import weakref
+
+    from tvgsim import cli
+
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    _save_two_vertex_scenario(first, 3)
+    _save_two_vertex_scenario(second, 5)
+    held = weakref.ref(cli._load_scenario(str(first)))
+    assert held() is cli._load_scenario(str(first))
+    assert _journey_a_to_b(second, capsys) == (0, "6")
+    gc.collect()
+    assert held() is None
+    assert cli._parse_scenario.cache_info().currsize == 1
 
 
 def readme_cli_commands():

@@ -360,3 +360,44 @@ def test_loaders_reject_undecodable_bytes(tmp_path):
         load_graph_file(str(path))
     with pytest.raises(ParseError, match="invalid JSON"):
         load_scenario(str(path))
+
+
+def _gk1_json() -> str:
+    return json.dumps(tvg_to_dict(generate_gk(1)), indent=2)
+
+
+# JSON text is UTF-8: another encoding, or a byte-order mark, is a ParseError
+# and never decoded by guess.  Line ends count as text-mode reading counts
+# them: "\r\n" and a lone "\r" are each one line end.
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (_gk1_json().encode("utf-16"),
+         "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (_gk1_json().encode("utf-32"),
+         "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (_gk1_json().encode("utf-8-sig"),
+         "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (_gk1_json().replace("\n", "\r\n").replace('"edges"', '"edges" x', 1).encode(),
+         "invalid JSON: Expecting ':' delimiter: line 8 column 11 (char 72)"),
+        (_gk1_json().replace("\n", "\r").replace('"edges"', '"edges" x', 1).encode(),
+         "invalid JSON: Expecting ':' delimiter: line 8 column 11 (char 72)"),
+        (b'{"vertices":\r\n ["a\r\nb"]}',
+         "invalid JSON: Invalid control character at: line 2 column 5 (char 17)"),
+        (b'{"a": 1}\xc3',
+         "invalid JSON: 'utf-8' codec can't decode byte 0xc3 in position 8: unexpected end of data"),
+    ],
+    ids=["utf-16", "utf-32", "utf-8-bom", "crlf", "cr", "cr-in-string", "truncated"],
+)
+def test_load_scenario_reads_strict_utf8(tmp_path, data, message):
+    path = tmp_path / "s.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_scenario(str(path))
+    assert str(exc.value) == message
+
+
+def test_load_scenario_accepts_crlf_line_ends(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_bytes(_gk1_json().replace("\n", "\r\n").encode())
+    assert load_scenario(str(path)) == generate_gk(1)
