@@ -1,7 +1,7 @@
 """Deterministic simulation and analysis of distributed algorithms on
 time-varying graphs."""
 
-from .engine import Protocol, Simulation, Trace, TraceEvent, TraceWriter, output_timeline, run
+from .engine import Protocol, Simulation, Trace, TraceEvent, TraceWriter, run
 from .errors import (
     CapacityError,
     DomainError,
@@ -30,12 +30,9 @@ from .metrics import (
     ComplexityReport,
     NpsFamily,
     ReportFold,
-    communication_step,
     convergence_steps,
-    convergence_tick,
     nps_broadcast,
     nps_ug,
-    starting_time,
 )
 from .protocols import FloodProtocol, MdstProtocol, UgProtocol, get_protocol
 from .scenarios import adversary_destabilize, generate_gk, generate_random_cot, named_graph

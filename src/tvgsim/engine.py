@@ -58,9 +58,8 @@ it keeps O(one chunk) of them.
 Outputs are formatted, with the protocol's ``format_output``, only into
 trace lines, by ``_event_lines`` (``Trace.serialize()`` and the writer share
 it) and into the final lines: the metrics and the adversary format nothing.
-``output_timeline`` replays a ``Trace``'s ``OutputChanged`` records for the
-metrics that take any predicate; the CLI's report is a fold over the records
-a writer drains.
+The metrics' report is one fold over the records: a writer hands them to it
+as it drains them.
 """
 
 from __future__ import annotations
@@ -206,19 +205,6 @@ class TraceWriter:
             self._file = None
             if not complete:
                 os.remove(self.path)
-
-
-def output_timeline(trace: Trace) -> List[Tuple[Tick, Dict[VertexId, Any]]]:
-    """Piecewise-constant outputs: (tick, outputs holding from that tick on),
-    from tick 0 to the tick of the last ``OutputChanged`` record."""
-    timeline = [(0, dict(trace.initial_outputs))]
-    for ev in trace.events:
-        if ev.kind != OUTPUT_CHANGED:
-            continue
-        if ev.time != timeline[-1][0]:
-            timeline.append((ev.time, dict(timeline[-1][1])))
-        timeline[-1][1][ev.subject[0]] = ev.value
-    return timeline
 
 
 class Protocol:

@@ -12,8 +12,10 @@ Values derived from a whole graph are memoized by ``bounded_cache``: an LRU
 cache of at most ``CACHE_MAXSIZE`` entries, keyed by the graph.  Here these
 are the minimal-dominating-set scan and the strong-set search.  The
 protocols use the same decorator for the dominating-set decision, keyed by
-the underlying-graph value, which hashes and compares as the graph it stands
-for.  ``cache_stats`` reports the hits, misses and sizes of every such cache.
+the underlying-graph value, which hashes and compares as its vertex mask,
+edge mask and edge index: it equals only values of the same index, so each
+protocol instance's values have their own entries.  ``cache_stats`` reports
+the hits, misses and sizes of every such cache.
 """
 
 from __future__ import annotations

@@ -4,24 +4,23 @@ sets, starting time, and convergence time.
 Convergence is reported as an exact rational number of communication steps so
 that off-by-one behavior stays visible in uniform-latency scenarios.
 
-``convergence_steps`` reads a whole ``Trace`` and takes any output
-predicate.  ``ReportFold`` computes the report for one predicate, "the
-outputs equal the final outputs", as a fold over the records a
-``TraceWriter`` drains, so it needs no trace in memory.
+``ReportFold`` is the one computation of the report: a fold over the
+records as a ``TraceWriter`` drains them, so ``simulate --metrics`` needs no
+trace in memory.  A run has converged from the tick on which its outputs
+equal its final outputs for good.  ``convergence_steps`` runs the fold over
+an in-memory ``Trace``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Tuple
 
-from .engine import EDGE_UP, MESSAGE_DELIVERED, OUTPUT_CHANGED, SEND_INVOKED, Trace, TraceEvent, output_timeline
+from .engine import EDGE_UP, MESSAGE_DELIVERED, OUTPUT_CHANGED, SEND_INVOKED, Trace, TraceEvent
 from .errors import DomainError
 from .graphs import Edge, StaticGraph, VertexId, make_edge
 from .tvg import Tick
-
-OutputPredicate = Callable[[Dict[VertexId, object]], bool]
 
 
 @dataclass(frozen=True)
@@ -52,29 +51,6 @@ class ComplexityReport:
         }
 
 
-def message_delays(trace: Trace) -> Dict[int, Tick]:
-    """Delay (delivery tick minus invocation tick) per delivered message id."""
-    invoked: Dict[int, Tick] = {}
-    delays: Dict[int, Tick] = {}
-    for ev in trace.events:
-        if ev.kind == SEND_INVOKED:
-            invoked[int(ev.subject[0])] = ev.time
-        elif ev.kind == MESSAGE_DELIVERED:
-            mid = int(ev.subject[0])
-            delays[mid] = ev.time - invoked[mid]
-    return delays
-
-
-def communication_step(trace: Trace) -> Tick:
-    return _step(max(message_delays(trace).values(), default=-1))
-
-
-def _step(largest_delay: Tick) -> Tick:
-    if largest_delay < 0:
-        raise DomainError("no message was delivered in this trace")
-    return largest_delay
-
-
 def nps_ug(g: StaticGraph) -> NpsFamily:
     return NpsFamily(frozenset({frozenset(g.edges)}))
 
@@ -86,67 +62,15 @@ def nps_broadcast(g: StaticGraph, origin: VertexId) -> NpsFamily:
     return NpsFamily(elements)
 
 
-def first_appearances(trace: Trace) -> Dict[Edge, Tick]:
-    first: Dict[Edge, Tick] = {}
-    for ev in trace.events:
-        if ev.kind == EDGE_UP:
-            first.setdefault(ev.subject, ev.time)
-    return first
-
-
-def starting_time(trace: Trace, nps: NpsFamily) -> Tick:
-    return _starting_time(first_appearances(trace), nps)
-
-
-def _starting_time(first: Dict[Edge, Tick], nps: NpsFamily) -> Tick:
-    candidates = []
-    for element in nps.elements:
-        if all(e in first for e in element):
-            candidates.append(max(first[e] for e in element))
-    if not candidates:
-        raise DomainError("starting time undefined within horizon")
-    return min(candidates)
-
-
-def convergence_tick(trace: Trace, converged: OutputPredicate) -> Tick:
-    """Smallest tick from which the predicate holds through the horizon."""
-    timeline = output_timeline(trace)
-    tick = None
-    for (t, outputs) in timeline:
-        if converged(outputs):
-            if tick is None:
-                tick = t
-        else:
-            tick = None
-    if tick is None:
-        raise DomainError("output predicate never stabilizes within horizon")
-    return tick
-
-
-def convergence_steps(trace: Trace, nps: NpsFamily, converged: OutputPredicate) -> ComplexityReport:
-    start = starting_time(trace, nps)
-    conv = max(convergence_tick(trace, converged), start)
-    return _report(start, conv, communication_step(trace))
-
-
-def _report(start: Tick, conv: Tick, step: Tick) -> ComplexityReport:
-    return ComplexityReport(
-        step=step,
-        starting_time=start,
-        convergence_tick=conv,
-        convergence_steps=Fraction(conv - start, step),
-    )
-
-
 class ReportFold:
-    """``convergence_steps(trace, nps, lambda outs: outs == final)``, where
-    ``final`` is the outputs at the end of the run, folded over the records
-    as a ``TraceWriter`` drains them.  It holds the invocation tick of each
-    undelivered message and the largest delay so far, the first appearance
-    of each edge, and per vertex its output and the tick from which its
-    end-of-tick output has held.  A flip and a flip back within one tick is
-    no change, as in ``output_timeline``.  The convergence tick is the
-    latest of those ticks: from it on every output equals the final one."""
+    """The complexity report, folded over the records as a ``TraceWriter``
+    drains them.  It holds the invocation tick of each undelivered message
+    and the largest delay so far (the communication step), the first
+    appearance of each edge (for the starting time), and per vertex its
+    output and the tick from which its end-of-tick output has held.  A flip
+    and a flip back within one tick is no change.  The convergence tick is
+    the latest of those ticks, and no earlier than the starting time: from
+    it on every output equals the final one."""
 
     def start(self, initial_outputs: Dict[VertexId, Any]) -> None:
         self._invoked: Dict[str, Tick] = {}
@@ -181,7 +105,26 @@ class ReportFold:
         self._step = step
 
     def report(self, nps: NpsFamily) -> ComplexityReport:
-        """The report, raising ``convergence_steps``'s errors in its order."""
-        start = _starting_time(self._first, nps)
+        """The report.  Raises a ``DomainError`` when no necessary presence
+        set has appeared, and then when no message was delivered."""
+        first = self._first
+        candidates = []
+        for element in nps.elements:
+            if all(e in first for e in element):
+                candidates.append(max(first[e] for e in element))
+        if not candidates:
+            raise DomainError("starting time undefined within horizon")
+        start = min(candidates)
+        step = self._step
+        if step < 0:
+            raise DomainError("no message was delivered in this trace")
         conv = max(max(self._since.values(), default=0), start)
-        return _report(start, conv, _step(self._step))
+        return ComplexityReport(step, start, conv, Fraction(conv - start, step))
+
+
+def convergence_steps(trace: Trace, nps: NpsFamily) -> ComplexityReport:
+    """The report of a whole ``Trace``: ``ReportFold`` over its records."""
+    fold = ReportFold()
+    fold.start(trace.initial_outputs)
+    fold.update(trace.events)
+    return fold.report(nps)

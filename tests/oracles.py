@@ -3,11 +3,13 @@ written apart from the code they check."""
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import FrozenSet, Iterable, Iterator, List, Tuple
+from fractions import Fraction
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
-from tvgsim.engine import Protocol, output_timeline, run
+from tvgsim.engine import EDGE_UP, MESSAGE_DELIVERED, OUTPUT_CHANGED, SEND_INVOKED, Protocol, Trace, run
 from tvgsim.errors import CapacityError, DomainError, GenerationError
 from tvgsim.graphs import (
+    Edge,
     StaticGraph,
     VertexId,
     diameter,
@@ -19,6 +21,7 @@ from tvgsim.graphs import (
     smds_witness,
     vertex_key,
 )
+from tvgsim.metrics import ComplexityReport, NpsFamily
 from tvgsim.protocols import MdstProtocol, bool_to_str
 from tvgsim.scenarios import ALWAYS, AdversaryRound
 from tvgsim.tvg import PeriodicTail, PresenceSchedule, Tick, Tvg, restrict
@@ -135,6 +138,100 @@ def adversary_by_restarts(
         rounds.append(AdversaryRound(i, stable, witness, suppressed, new_set, eta, alpha))
         watch = alpha + 1
         yield tvg, tuple(rounds)
+
+
+# The report over a whole trace, for any output predicate: the metrics as
+# first written, which ``metrics.ReportFold`` replaced.
+
+OutputPredicate = Callable[[Dict[VertexId, object]], bool]
+
+
+def output_timeline(trace: Trace) -> List[Tuple[Tick, Dict[VertexId, Any]]]:
+    """Piecewise-constant outputs: (tick, outputs holding from that tick on),
+    from tick 0 to the tick of the last ``OutputChanged`` record."""
+    timeline = [(0, dict(trace.initial_outputs))]
+    for ev in trace.events:
+        if ev.kind != OUTPUT_CHANGED:
+            continue
+        if ev.time != timeline[-1][0]:
+            timeline.append((ev.time, dict(timeline[-1][1])))
+        timeline[-1][1][ev.subject[0]] = ev.value
+    return timeline
+
+
+def message_delays(trace: Trace) -> Dict[int, Tick]:
+    """Delay (delivery tick minus invocation tick) per delivered message id."""
+    invoked: Dict[int, Tick] = {}
+    delays: Dict[int, Tick] = {}
+    for ev in trace.events:
+        if ev.kind == SEND_INVOKED:
+            invoked[int(ev.subject[0])] = ev.time
+        elif ev.kind == MESSAGE_DELIVERED:
+            mid = int(ev.subject[0])
+            delays[mid] = ev.time - invoked[mid]
+    return delays
+
+
+def communication_step(trace: Trace) -> Tick:
+    return _step(max(message_delays(trace).values(), default=-1))
+
+
+def _step(largest_delay: Tick) -> Tick:
+    if largest_delay < 0:
+        raise DomainError("no message was delivered in this trace")
+    return largest_delay
+
+
+def first_appearances(trace: Trace) -> Dict[Edge, Tick]:
+    first: Dict[Edge, Tick] = {}
+    for ev in trace.events:
+        if ev.kind == EDGE_UP:
+            first.setdefault(ev.subject, ev.time)
+    return first
+
+
+def starting_time(trace: Trace, nps: NpsFamily) -> Tick:
+    return _starting_time(first_appearances(trace), nps)
+
+
+def _starting_time(first: Dict[Edge, Tick], nps: NpsFamily) -> Tick:
+    candidates = []
+    for element in nps.elements:
+        if all(e in first for e in element):
+            candidates.append(max(first[e] for e in element))
+    if not candidates:
+        raise DomainError("starting time undefined within horizon")
+    return min(candidates)
+
+
+def convergence_tick(trace: Trace, converged: OutputPredicate) -> Tick:
+    """Smallest tick from which the predicate holds through the horizon."""
+    timeline = output_timeline(trace)
+    tick = None
+    for (t, outputs) in timeline:
+        if converged(outputs):
+            if tick is None:
+                tick = t
+        else:
+            tick = None
+    if tick is None:
+        raise DomainError("output predicate never stabilizes within horizon")
+    return tick
+
+
+def oracle_convergence_steps(trace: Trace, nps: NpsFamily, converged: OutputPredicate) -> ComplexityReport:
+    start = starting_time(trace, nps)
+    conv = max(convergence_tick(trace, converged), start)
+    return _report(start, conv, communication_step(trace))
+
+
+def _report(start: Tick, conv: Tick, step: Tick) -> ComplexityReport:
+    return ComplexityReport(
+        step=step,
+        starting_time=start,
+        convergence_tick=conv,
+        convergence_steps=Fraction(conv - start, step),
+    )
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,7 @@ def test_ug_converges_to_underlying_graph_within_diameter_steps(ug_corpus):
     for tvg, trace in ug_corpus:
         ug = tvg.graph
         assert all(out.graph == ug for out in trace.final_outputs.values())
-        done = lambda outs: all(out.graph == ug for out in outs.values())
-        report = convergence_steps(trace, nps_ug(ug), done)
+        report = convergence_steps(trace, nps_ug(ug))
         assert report.convergence_steps <= diameter(eventual_underlying_graph(tvg))
 
 
@@ -180,7 +179,7 @@ def test_ug_diameter_bound_holds_over_eventually_missing_edges():
         ug = tvg.graph
         trace = run(tvg, UgProtocol(), 800)
         assert all(out.graph == ug for out in trace.final_outputs.values())
-        report = convergence_steps(trace, nps_ug(ug), lambda outs: all(out.graph == ug for out in outs.values()))
+        report = convergence_steps(trace, nps_ug(ug))
         assert report.convergence_steps <= diameter(eventual_underlying_graph(tvg)), (missing, extra, span, n, seed)
         ran += 1
     assert ran == 405  # of 432 draws
@@ -210,7 +209,7 @@ def test_ug_worst_ratio_to_the_diameter_is_at_most_one(tvg):
     ug = tvg.graph
     trace = run(tvg, UgProtocol(), 400)
     assert all(out.graph == ug for out in trace.final_outputs.values())
-    report = convergence_steps(trace, nps_ug(ug), lambda outs: all(out.graph == ug for out in outs.values()))
+    report = convergence_steps(trace, nps_ug(ug))
     ratio = report.convergence_steps / diameter(eventual_underlying_graph(tvg))
     target(float(ratio))
     assert ratio <= 1
@@ -228,7 +227,8 @@ def test_ug_diameter_bound_assumes_no_process_latency(process_latency, steps):
     assert set(tvg.latency.values()) == {1}
     assert diameter(eventual_underlying_graph(tvg)) == 2
     trace = run(replace(tvg, process_latency=process_latency), UgProtocol(), 60)
-    report = convergence_steps(trace, nps_ug(ug), lambda outs: all(out.graph == ug for out in outs.values()))
+    assert all(out.graph == ug for out in trace.final_outputs.values())
+    report = convergence_steps(trace, nps_ug(ug))
     assert (report.step, report.starting_time, report.convergence_steps) == (1, 2, steps)
 
 
@@ -239,8 +239,8 @@ def test_shortcut_chain_lower_bound(k):
     tvg = generate_gk(k)
     ug = tvg.graph
     trace = run(tvg, UgProtocol(), 20 + 10 * k)
-    done = lambda outs: all(out.graph == ug for out in outs.values())
-    report = convergence_steps(trace, nps_ug(ug), done)
+    assert all(out.graph == ug for out in trace.final_outputs.values())
+    report = convergence_steps(trace, nps_ug(ug))
     assert report.starting_time == 1
     assert Fraction(2 * k) <= report.convergence_steps <= Fraction(3 * k)
 
@@ -441,8 +441,7 @@ def _corpus_digest():
         ug = tvg.graph
         trace = run(tvg, UgProtocol(), 20 + 10 * k)
         h.update(trace.serialize().encode())
-        done = lambda outs: all(out.graph == ug for out in outs.values())
-        report = convergence_steps(trace, nps_ug(ug), done)
+        report = convergence_steps(trace, nps_ug(ug))
         h.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
     return h.hexdigest()
 
@@ -694,12 +693,11 @@ def _metamorphic_cases(names):
 
 
 def _measured(tvg, name, horizon):
-    """The trace of ``name`` on ``tvg`` and its report, converged meaning
-    the outputs equal the final outputs, as ``simulate --metrics`` reads it."""
+    """The trace of ``name`` on ``tvg`` and its report, as ``simulate
+    --metrics`` reads it."""
     origin = "p1" if PROTOCOLS[name].takes_origin else None
     trace = run(tvg, get_protocol(name, origin), horizon)
-    final = trace.final_outputs
-    report = convergence_steps(trace, PROTOCOLS[name].nps(tvg.graph, origin), lambda outs: outs == final)
+    report = convergence_steps(trace, PROTOCOLS[name].nps(tvg.graph, origin))
     return trace, report
 
 

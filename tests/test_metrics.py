@@ -2,20 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from tvgsim.engine import run
-from tvgsim.errors import DomainError
-from tvgsim.metrics import (
-    NpsFamily,
+from oracles import (
     communication_step,
-    convergence_steps,
     convergence_tick,
     first_appearances,
     message_delays,
-    nps_broadcast,
-    nps_ug,
+    oracle_convergence_steps,
     output_timeline,
     starting_time,
 )
+from tvgsim.engine import run
+from tvgsim.errors import DomainError
+from tvgsim.metrics import NpsFamily, convergence_steps, nps_broadcast, nps_ug
 from tvgsim.protocols import FloodProtocol, UgProtocol
 from tvgsim.scenarios import generate_gk, named_graph
 
@@ -55,6 +53,9 @@ def test_communication_step_requires_deliveries():
     trace = run(g1, FloodProtocol("p3"), 1)
     with pytest.raises(DomainError):
         communication_step(trace)
+    # The shortcut p0-p2 is up at tick 0, so the starting time is defined.
+    with pytest.raises(DomainError, match="no message was delivered"):
+        convergence_steps(trace, nps_broadcast(g1.graph, "p2"))
 
 
 def test_starting_time_g1():
@@ -73,6 +74,8 @@ def test_starting_time_undefined():
     trace = run(g1, UgProtocol(), 1)  # horizon before the path edges appear
     with pytest.raises(DomainError):
         starting_time(trace, nps_ug(g1.graph))
+    with pytest.raises(DomainError, match="starting time undefined"):
+        convergence_steps(trace, nps_ug(g1.graph))
 
 
 def test_output_timeline_and_convergence():
@@ -84,8 +87,6 @@ def test_output_timeline_and_convergence():
     assert [t for (t, _) in timeline] == sorted({t for (t, _) in timeline})
     done = lambda outs: all(out.graph == ug for out in outs.values())
     assert convergence_tick(trace, done) == 3
-    with pytest.raises(DomainError):
-        convergence_tick(trace, lambda outs: False)
 
 
 def test_convergence_steps_report():
@@ -93,7 +94,9 @@ def test_convergence_steps_report():
     ug = g1.graph
     trace = run(g1, UgProtocol(), 30)
     done = lambda outs: all(out.graph == ug for out in outs.values())
-    report = convergence_steps(trace, nps_ug(ug), done)
+    assert done(trace.final_outputs)
+    report = convergence_steps(trace, nps_ug(ug))
+    assert report == oracle_convergence_steps(trace, nps_ug(ug), done)
     assert report.step == 1
     assert report.starting_time == 1
     assert report.convergence_tick == 3
@@ -114,6 +117,7 @@ def test_convergence_clamped_to_starting_time():
     g1 = generate_gk(1)
     ug = g1.graph
     trace = run(g1, FloodProtocol("p2"), 30)
-    report = convergence_steps(trace, nps_ug(ug), lambda outs: all(outs.values()))
+    assert all(trace.final_outputs.values())
+    report = convergence_steps(trace, nps_ug(ug))
     assert report.convergence_steps >= 0
     assert report.convergence_tick >= report.starting_time

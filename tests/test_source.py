@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -127,3 +130,18 @@ def test_no_test_only_names():
     # A name that only tests read belongs in tests/, unless it is exported.
     package, public, readers = _package_and_readers(("src", "bench"))
     assert dead_names(package, readers, exempt=public) == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # In a fresh interpreter, importing the package and its CLI loads no
+    # top-level module outside the standard library but the package itself.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import tvgsim, tvgsim.cli\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "['tvgsim']\n"

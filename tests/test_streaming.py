@@ -1,6 +1,6 @@
 """The streaming sink and the folds over it, against the in-memory trace:
 a ``TraceWriter``'s file is ``Trace.serialize()`` byte for byte, the CLI's
-report folded over the drained records equals ``convergence_steps``, the
+report folded over the drained records equals the whole-trace oracle's, the
 records obey the engine's trace invariants, and the writer holds a bounded
 number of records whatever the horizon."""
 
@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from oracles import oracle_convergence_steps
 from test_acceptance import UG_CORPUS_SIZE, UG_HORIZON, _engine_corpus
 from trace_invariants import TraceInvariants, ug_grows
 from tvgsim import engine
@@ -100,13 +101,20 @@ def streamed(tmp_path_factory):
             with TraceWriter(str(path), _Tee(fold, checker)) as writer:
                 run(tvg, _protocol(name, tvg), horizon, writer)
             final = trace.final_outputs
+            converged = PROTOCOLS[name].converged
             results.append({
                 "case": (name, horizon, sorted(tvg.graph.vertices), origin),
                 "serialized": trace.serialize().encode(),
                 "streamed": path.read_bytes(),
                 "final_lines": (trace.final_lines, writer.final_lines),
-                "report": _outcome(lambda: convergence_steps(trace, nps, lambda outs: outs == final)),
+                "report": _outcome(lambda: oracle_convergence_steps(trace, nps, lambda outs: outs == final)),
                 "folded": _outcome(lambda: fold.report(nps)),
+                "whole": _outcome(lambda: convergence_steps(trace, nps)),
+                # ug and flood outputs only grow, so outputs that solve the
+                # problem are the final ones; mdst can pass through another
+                # valid set first.
+                "solved": _outcome(lambda: oracle_convergence_steps(trace, nps, lambda outs: converged(tvg, outs)))
+                if name != "mdst" and converged(tvg, final) else None,
                 "violations": checker.finish(horizon),
                 "kinds": Counter(ev.kind for ev in trace.events),
             })
@@ -122,7 +130,7 @@ def test_streamed_file_is_the_serialized_trace_on_both_corpora(streamed):
 
 def test_report_fold_matches_convergence_steps_on_both_corpora(streamed):
     for r in streamed:
-        assert r["folded"] == r["report"], r["case"]
+        assert r["folded"] == r["whole"] == r["report"], r["case"]
     outcomes = {r["report"] if isinstance(r["report"], str) else "report" for r in streamed}
     assert outcomes == {
         "report",
@@ -135,6 +143,16 @@ def test_report_fold_matches_convergence_steps_on_both_corpora(streamed):
         r["kinds"][MESSAGE_DELIVERED] == 0 and r["report"].endswith("starting time undefined within horizon")
         for r in streamed if isinstance(r["report"], str)
     )
+
+
+def test_solved_outputs_converge_when_the_final_outputs_do_on_both_corpora(streamed):
+    """For ug and flood, "the outputs solve the problem" and "the outputs
+    equal the final ones" give one report wherever the final outputs solve it."""
+    solved = [r for r in streamed if r["solved"] is not None]
+    assert {r["case"][0] for r in solved} == {"ug", "flood"}
+    assert sum(isinstance(r["solved"], dict) for r in solved) > 400
+    for r in solved:
+        assert r["solved"] == r["whole"], r["case"]
 
 
 def test_trace_invariants_hold_on_both_corpora(streamed):
