@@ -23,19 +23,19 @@ that arrival.  A message's fate is decided once, when its edge goes down:
 every message still in flight with a later arrival is lost there, in
 message-id order, and waits for the edge's next appearance.  A delivery
 whose message no longer has that tick as its recorded arrival is a stale
-booking of a lost attempt, and does nothing.  So ``amend`` only moves an
-occurrence's end.
+booking of a lost attempt, and does nothing.  So ``amend`` moves edge
+events only, never a message.
 
 Pending work sits in a calendar: one bucket per tick, holding that tick's
 disappearances, appearances, deliveries and callbacks, and a heap holding
 each tick that has a bucket once.  A popped tick's bucket is run in the
 order above, each list sorted by its key (a stable sort for callbacks).
-The edge schedule is read lazily: the calendar holds only each edge's next
-appearance, and firing an appearance adds that occurrence's disappearance
-(when it is finite) and the edge's next appearance.  So it holds
-O(edges + bookings + pending callbacks) entries whatever the horizon or
-the periods; a booking lies at most one latency ahead.  Work due at or
-after ``until`` stays in the calendar for the next ``advance``.
+An edge's future is read only from its schedule, by ``next_occurrence``:
+the calendar holds at most one pending event per edge, the disappearance of
+an edge that is up with a finite end, else its next appearance, which firing
+a disappearance seats.  So it holds O(edges + bookings + pending callbacks)
+entries whatever the horizon or the periods; a booking lies at most one
+latency ahead.  Work due at or after ``until`` waits for the next ``advance``.
 
 A callback whose handler is ``Protocol``'s own no-op method (``on_init``,
 ``on_edge_appear``, ``on_edge_disappear``, inherited unchanged) is never
@@ -69,7 +69,7 @@ import heapq
 import os
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
 from .graphs import Edge, StaticGraph, VertexId, make_edge, vertex_key
@@ -147,10 +147,10 @@ class TraceWriter:
     file at ``path`` as the run goes, in O(one chunk) records.
 
     ``Simulation`` appends records to ``events``; ``drain`` hands them to
-    ``fold`` (an object with ``start(initial_outputs)`` and
-    ``update(records)``, or None), writes their lines and empties the list.
-    ``high_water`` is the most records it has held at once.  The writer keeps the outputs at ``now``, for the
-    ``FINAL`` section, and no other record.
+    ``fold`` (an object with ``start(initial_outputs)`` and ``update(records)``,
+    or None), writes their lines and empties the list.  ``high_water`` is the
+    most records it has held at once.  The writer keeps the outputs at
+    ``now``, for the ``FINAL`` section, and no other record.
 
     The file is created when the simulation starts, after the protocol's
     check.  Used as a context manager, the writer formats ``final_lines``
@@ -261,16 +261,6 @@ def _is_noop(protocol, handler: str) -> bool:
     return getattr(getattr(protocol, handler), "__func__", None) is getattr(Protocol, handler)
 
 
-def _next_up(schedule: PresenceSchedule, t: Tick):
-    """The first occurrence of ``schedule`` starting at or after ``t`` (None
-    when there is none), and an iterator over the occurrences after it."""
-    later = schedule.occurrences(t)
-    for occ in later:
-        if occ[0] >= t:
-            return occ, later
-    return None, later
-
-
 class Simulation:
     """A run of ``protocol`` over ``tvg`` that stops and resumes: ``advance``
     processes the events before a tick, ``fork`` copies the simulation's
@@ -325,8 +315,7 @@ class Simulation:
         # tick with pending work, and that tick once on the heap.
         self._heap: List[Tick] = []
         self._buckets: Dict[Tick, Tuple[list, list, list, list]] = {}
-        self._occurrences: Dict[Edge, Iterator[Tuple[Tick, Optional[Tick]]]] = {}
-        self._up: set = set()  # the edges that are up
+        self._up: Dict[Edge, Tick] = {}  # edge that is up -> its occurrence's start
         # The ledger: each edge's undelivered messages in id order, as
         # (message, arrival of its attempt in flight, None while it waits).
         self._pending: Dict[Edge, Dict[int, Tuple[Message, Optional[Tick]]]] = {e: {} for e in edges}
@@ -345,10 +334,9 @@ class Simulation:
         return b
 
     def _seat(self, e: Edge, schedule: PresenceSchedule):
-        """Put the first occurrence of ``schedule`` starting at or after now
-        in the calendar as ``e``'s next appearance, and the later ones in
-        ``e``'s iterator."""
-        occ, self._occurrences[e] = _next_up(schedule, self.now)
+        """Seat ``schedule``'s first occurrence starting at or after now, if
+        any, as ``e``'s next appearance: its one pending event while down."""
+        occ = schedule.next_occurrence(self.now)
         if occ is not None:
             self._bucket(occ[0])[1].append((self._edge_index[e], e, occ[1]))
 
@@ -365,20 +353,14 @@ class Simulation:
             raise DomainError(f"cannot advance to tick {until}: the simulation is at tick {self.now}")
         heap, buckets, bucket, heappop = self._heap, self._buckets, self._bucket, heapq.heappop
         latency, phi, edge_of = self._latency, self._phi, self._edge_of
-        vertex_index, edge_index = self._vertex_index, self._edge_index
+        vertex_index = self._vertex_index
         appear_items, disappear_items = self._appear_items, self._disappear_items
         states, up, pending = self._states, self._up, self._pending
         output, on_receive = self._protocol.output, self._protocol.on_receive
-        sink = self.trace
+        sink, schedule = self.trace, self.schedule
         current_output, events, drain = sink.final_outputs, sink.events, sink.drain
         record, new, chunk = events.append, tuple.__new__, CHUNK
-        occurrences = self._occurrences
         msg_id = self._last_id
-
-        def push_next_up(e: Edge):
-            occ = next(occurrences[e], None)
-            if occ is not None:
-                (buckets.get(occ[0]) or bucket(occ[0]))[1].append((edge_index[e], e, occ[1]))
 
         def attempt(m: Message, t: Tick):
             arrival = t + latency[m.edge]
@@ -393,9 +375,12 @@ class Simulation:
             tick = heappop(heap)
             downs, ups, deliveries, callbacks = buckets[tick]
             at = tick + phi  # when the callbacks this tick's events cause run
-            for _, e in sorted(downs):
+            for index, e in sorted(downs):
                 record(new(TraceEvent, (tick, EDGE_DOWN, e, None)))
-                up.remove(e)
+                del up[e]
+                occ = schedule[e].next_occurrence(tick)
+                if occ is not None:
+                    (buckets.get(occ[0]) or bucket(occ[0]))[1].append((index, e, occ[1]))
                 # Every message of the edge is in flight; one due after now is lost.
                 waiting = pending[e]
                 for i, (m, arrival) in waiting.items():
@@ -404,16 +389,15 @@ class Simulation:
                         waiting[i] = (m, None)
                 if disappear_items[e] is not None:
                     (buckets.get(at) or bucket(at))[3].extend(disappear_items[e])
-            for _, e, end in sorted(ups):
+            for index, e, end in sorted(ups):
                 record(new(TraceEvent, (tick, EDGE_UP, e, None)))
-                up.add(e)
+                up[e] = tick
                 for m, _ in pending[e].values():  # every one is waiting
                     attempt(m, tick)
                 if appear_items[e] is not None:
                     (buckets.get(at) or bucket(at))[3].extend(appear_items[e])
                 if end is not None:
-                    (buckets.get(end) or bucket(end))[0].append((edge_index[e], e))
-                push_next_up(e)
+                    (buckets.get(end) or bucket(end))[0].append((index, e))
             for i, m in sorted(deliveries):
                 if pending[m.edge][i][1] != tick:
                     continue  # a stale booking: this attempt was lost
@@ -449,12 +433,11 @@ class Simulation:
         return sink
 
     def fork(self) -> "Simulation":
-        """An independent copy of the state at ``now``, whatever the sink.
-        States, messages, ledger entries and calendar items are immutable and
-        shared; every container is copied, and each edge's occurrence
-        iterator is re-seated.  No record is copied: the twin's ``trace`` is
-        a new ``Trace`` that starts at ``now``, with no records and the
-        outputs at ``now`` as its ``initial_outputs``."""
+        """An independent copy of the state at ``now``, whatever the sink:
+        every container is copied, no schedule is read, and the states,
+        messages, ledger entries and calendar items are immutable and shared.
+        The twin's ``trace`` is a new ``Trace`` that starts at ``now``, with
+        no records and the outputs at ``now`` as its ``initial_outputs``."""
         twin = copy.copy(self)
         twin.schedule = dict(self.schedule)
         twin._states = dict(self._states)
@@ -462,18 +445,16 @@ class Simulation:
         twin.trace = Trace([], dict(outputs), dict(outputs), self._protocol.format_output)
         twin._heap = list(self._heap)
         twin._buckets = {t: tuple(list(phase) for phase in b) for t, b in self._buckets.items()}
-        # The calendar holds each edge's first occurrence starting at or
-        # after now; the iterator resumes after it.
-        twin._occurrences = {e: _next_up(s, self.now)[1] for e, s in self.schedule.items()}
-        twin._up = set(self._up)
+        twin._up = dict(self._up)
         twin._pending = {e: dict(p) for e, p in self._pending.items()}
         return twin
 
     def amend(self, edge, schedule: PresenceSchedule) -> None:
         """Give ``edge`` ``schedule`` from ``now`` on.  It must agree with the
-        edge's schedule before ``now``.  When the occurrence in progress gets
-        a new end, its disappearance moves there; the messages in flight are
-        decided when it comes, as in any run."""
+        edge's schedule before ``now``.  An edge that is up keeps its
+        occurrence's start, and its disappearance moves to the new end; the
+        messages in flight are decided when it comes, as in any run.  An
+        edge that is down gets the new schedule's next appearance."""
         now = self.now
         e = make_edge(*edge)
         if e not in self.schedule:
@@ -482,15 +463,14 @@ class Simulation:
         if old.minus(now, None) != schedule.minus(now, None):
             raise DomainError(f"the new schedule of {e} differs from the old one before tick {now}")
         self.schedule[e] = schedule
-        index = self._edge_index[e]
-        occ, _ = _next_up(old, now)
-        if occ is not None:
-            self._buckets[occ[0]][1].remove((index, e, occ[1]))
-        self._seat(e, schedule)
-        if e in self._up:
-            # Up at now means present at now - 1, under both schedules.
-            old_end = next(old.occurrences(now - 1))[1]
-            end = next(schedule.occurrences(now - 1))[1]
+        index, start = self._edge_index[e], self._up.get(e)
+        if start is None:  # down: its pending appearance is swapped
+            occ = old.next_occurrence(now)
+            if occ is not None:
+                self._buckets[occ[0]][1].remove((index, e, occ[1]))
+            self._seat(e, schedule)
+        else:  # up: its occurrence starts at ``start`` under both schedules
+            old_end, end = old.next_occurrence(start)[1], schedule.next_occurrence(start)[1]
             if old_end is not None:
                 self._buckets[old_end][0].remove((index, e))
             if end is not None:

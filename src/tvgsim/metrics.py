@@ -85,23 +85,27 @@ class ReportFold:
     def update(self, events: Iterable[TraceEvent]) -> None:
         invoked, first, outputs, since, before = self._invoked, self._first, self._outputs, self._since, self._before
         step = self._step
-        for t, kind, subject, value in events:
-            if kind == EDGE_UP:
-                if subject not in first:
-                    first[subject] = t
-            elif kind == SEND_INVOKED:
-                invoked[subject[0]] = t
-            elif kind == MESSAGE_DELIVERED:
-                delay = t - invoked.pop(subject[0])
-                if delay > step:
-                    step = delay
-            elif kind == OUTPUT_CHANGED:
-                v = subject[0]
-                mark = before.get(v)
-                if mark is None or mark[0] != t:
-                    mark = before[v] = (t, outputs[v], since[v])
-                outputs[v] = value
-                since[v] = mark[2] if value == mark[1] else t
+        try:
+            for t, kind, subject, value in events:
+                if kind == EDGE_UP:
+                    if subject not in first:
+                        first[subject] = t
+                elif kind == SEND_INVOKED:
+                    invoked[subject[0]] = t
+                elif kind == MESSAGE_DELIVERED:
+                    delay = t - invoked.pop(subject[0])
+                    if delay > step:
+                        step = delay
+                elif kind == OUTPUT_CHANGED:
+                    v = subject[0]
+                    mark = before.get(v)
+                    if mark is None or mark[0] != t:
+                        mark = before[v] = (t, outputs[v], since[v])
+                    outputs[v] = value
+                    since[v] = mark[2] if value == mark[1] else t
+        except KeyError as missing:  # on an engine's trace only ``invoked.pop`` misses
+            message = f"message {missing.args[0]} is delivered with no SendInvoked record"
+            raise DomainError(f"{message}: the trace does not start at tick 0") from None
         self._step = step
 
     def report(self, nps: NpsFamily) -> ComplexityReport:

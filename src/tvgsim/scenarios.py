@@ -8,9 +8,9 @@ The adversary extends its schedule round by round, and one forward
 absolute doubling horizons a run restarted from tick 0 would use, so it
 reports the same set and tick, and each round forks and amends it where the
 schedule changes.  It processes at most 1.1x the events of one run of the
-scenario it returns, and its forks copy no records, but its time per round
-grows with the rounds done: each amend, and each fork's re-seat of the
-edges' occurrence iterators, walks the schedule so far."""
+scenario it returns, and its forks copy containers only, but its time per
+round grows with the rounds done: each amend's agreement check, and each
+round's ``restrict``, walks the schedule so far."""
 
 from __future__ import annotations
 

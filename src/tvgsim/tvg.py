@@ -7,9 +7,9 @@ for every i >= 0).  A contiguous tail (duration == period) is normalized to
 period = duration = 1 and represents "present forever from offset".
 
 ``PresenceSchedule.of`` builds the normal form and the constructor rejects
-any other, so a schedule that exists is normal.  ``occurrences(after)`` is
-the one reader of that form: windows and masks are short walks over the
-maximal occurrences it yields.
+any other, so a schedule that exists is normal.  Two methods read that form:
+``occurrences(after)``, whose maximal occurrences windows and masks walk,
+and ``next_occurrence(t)``, the engine's one query of an edge's future.
 
 ``earliest_arrival`` reads a Tvg's ``incidence`` table: each vertex's
 (neighbour, schedule, latency) triples, built on the first query and kept
@@ -19,6 +19,7 @@ on the Tvg, so a batch of queries on one Tvg builds it once.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -132,6 +133,21 @@ class PresenceSchedule:
         while True:
             yield (s, s + tail.duration)
             s += tail.period
+
+    def next_occurrence(self, t: Tick) -> Optional[Interval]:
+        """The first maximal occurrence starting at or after ``t``, or None."""
+        intervals = self.intervals
+        if intervals and intervals[-1][0] >= t:
+            return intervals[bisect_left(intervals, (t,))]
+        tail = self.tail
+        if tail is None:
+            return None
+        s, p, d = tail.offset, tail.period, tail.duration
+        if d == p:  # contiguous
+            return (s, None) if s >= t else None
+        if s < t:
+            s -= (s - t) // p * p  # the first start at or after t
+        return (s, s + d)
 
     def earliest_window(self, t: Tick, duration: Tick) -> Optional[Tick]:
         """Smallest t' >= t such that the schedule is present at t' and, when

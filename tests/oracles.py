@@ -74,6 +74,16 @@ def present_at(schedule: PresenceSchedule, t: Tick) -> bool:
     return tail is not None and t >= tail.offset and (t - tail.offset) % tail.period < tail.duration
 
 
+def _next_up(schedule: PresenceSchedule, t: Tick):
+    """The first occurrence of ``schedule`` starting at or after ``t`` (None
+    when there is none), and an iterator over the occurrences after it."""
+    later = schedule.occurrences(t)
+    for occ in later:
+        if occ[0] >= t:
+            return occ, later
+    return None, later
+
+
 def _affine(schedule: PresenceSchedule, k: int, d: Tick) -> PresenceSchedule:
     """``schedule`` with each tick t moved to k * t + d, periods and
     durations scaled by k; normalized, so a contiguous tail stays (offset, 1, 1)."""

@@ -11,11 +11,11 @@ from oracles import (
     output_timeline,
     starting_time,
 )
-from tvgsim.engine import run
+from tvgsim.engine import Simulation, run
 from tvgsim.errors import DomainError
 from tvgsim.metrics import NpsFamily, convergence_steps, nps_broadcast, nps_ug
 from tvgsim.protocols import FloodProtocol, UgProtocol
-from tvgsim.scenarios import generate_gk, named_graph
+from tvgsim.scenarios import generate_gk, generate_random_cot, named_graph
 
 
 def test_nps_family_validation():
@@ -121,3 +121,15 @@ def test_convergence_clamped_to_starting_time():
     report = convergence_steps(trace, nps_ug(ug))
     assert report.convergence_steps >= 0
     assert report.convergence_tick >= report.starting_time
+
+
+def test_a_forks_trace_is_refused_with_a_domain_error():
+    # A twin's trace starts at the fork: message 32 is invoked before it and
+    # delivered after it, so the fold meets a delivery with no send.
+    tvg = generate_random_cot(6, 0.3, 0.2, 16, 1)
+    sim = Simulation(tvg, UgProtocol())
+    sim.advance(25)
+    twin = sim.fork()
+    twin.advance(60)
+    with pytest.raises(DomainError, match=r"message 32 .*does not start at tick 0"):
+        convergence_steps(twin.trace, nps_ug(tvg.graph))

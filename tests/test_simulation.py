@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adversary_by_restarts
-from tvgsim.engine import EDGE_DOWN, MESSAGE_DELIVERED, MESSAGE_LOST, OUTPUT_CHANGED, Protocol, Simulation, Trace, run
+from oracles import adversary_by_restarts, present_at
+from test_acceptance import _engine_corpus
+from tvgsim.engine import EDGE_DOWN, EDGE_UP, MESSAGE_DELIVERED, MESSAGE_LOST, OUTPUT_CHANGED, Protocol, Simulation, Trace, run
 from tvgsim.errors import DomainError
 from tvgsim.graphs import StaticGraph
 from tvgsim.protocols import FloodProtocol, MdstProtocol, UgProtocol
@@ -232,6 +233,74 @@ def test_amend_and_advance_reject_what_a_restart_could_not_give():
     with pytest.raises(DomainError):
         sim.advance(4)
     assert sim.advance(5).serialize() == run(tvg, SendAtInit(), 5).serialize()
+
+
+# --- the calendar's edge events ---------------------------------------------
+
+def assert_one_pending_edge_event(sim):
+    """At most one pending edge event per edge, and the right one: the
+    disappearance at the end of the occurrence in progress of an edge that
+    is up, else the next appearance of an edge that is down."""
+    pending = {e: [] for e in sim.schedule}
+    for t, (downs, ups, _, _) in sim._buckets.items():
+        for _, e in downs:
+            pending[e].append((EDGE_DOWN, t))
+        for _, e, end in ups:
+            pending[e].append((EDGE_UP, t, end))
+    now = sim.now
+    for e, schedule in sim.schedule.items():
+        assert (e in sim._up) == (now > 0 and present_at(schedule, now - 1)), (e, now)
+        if e in sim._up:
+            end = next(schedule.occurrences(now - 1))[1]  # the occurrence holding now - 1
+            expected = [] if end is None else [(EDGE_DOWN, end)]
+        else:
+            occ = schedule.next_occurrence(now)
+            expected = [] if occ is None else [(EDGE_UP, *occ)]
+        assert pending[e] == expected, (e, now)
+
+
+def test_one_pending_edge_event_per_edge_through_advance_fork_and_amend():
+    stops = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
+    for tvg, protocol, horizon in _engine_corpus():
+        sim = Simulation(tvg, protocol)
+        assert_one_pending_edge_event(sim)
+        for stop in (t for t in stops if t < horizon):
+            sim.advance(stop)
+            assert_one_pending_edge_event(sim)
+            twin = sim.fork()
+            assert_one_pending_edge_event(twin)
+            # Cut each edge for a while from about now, one at a time; two
+            # ticks on, cut each for a while and for good, then restore it.
+            for i, e in enumerate(tvg.graph.sorted_edges()):
+                twin.amend(e, tvg.schedule[e].minus(stop + i % 3, stop + i % 3 + 4))
+                assert_one_pending_edge_event(twin)
+            twin.advance(stop + 2)
+            assert_one_pending_edge_event(twin)
+            for e in tvg.graph.sorted_edges():
+                base = twin.schedule[e]
+                for schedule in (base.minus(stop + 2, stop + 6), base.minus(stop + 2, None), base):
+                    twin.amend(e, schedule)
+                    assert_one_pending_edge_event(twin)
+            twin.advance(max(horizon, stop + 2))
+            assert_one_pending_edge_event(twin)
+        sim.advance(horizon)
+        assert_one_pending_edge_event(sim)
+
+
+def test_one_pending_edge_event_per_edge_through_the_adversary(monkeypatch):
+    steps = {"advance": 0, "fork": 0, "amend": 0}
+    for name in steps:
+        def checked(self, *args, _step=getattr(Simulation, name), _name=name):
+            result = _step(self, *args)
+            steps[_name] += 1
+            assert_one_pending_edge_event(self)
+            if _name == "fork":
+                assert_one_pending_edge_event(result)
+            return result
+
+        monkeypatch.setattr(Simulation, name, checked)
+    adversary_destabilize(named_graph("cycle", 5), 4)
+    assert min(steps.values()) > 0, steps
 
 
 # --- the adversary ----------------------------------------------------------

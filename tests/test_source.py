@@ -145,3 +145,16 @@ def test_runtime_imports_only_the_standard_library():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "['tvgsim']\n"
+
+
+def test_the_benchmark_tracer_installs_on_the_source():
+    # bench/tracer.py rebinds tvgsim names (scenarios.run, cli.run,
+    # io.load_scenario, engine.Trace.serialize, ...) by name, so a source
+    # change that unbinds one must fail here, not only in the benchmark.
+    # No bytecode is written, so bench/ is left as it was.
+    root = SRC.parent.parent
+    path = os.pathsep.join([str(root / "src"), str(root / "bench")])
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    code = "from tracer import Tracer, install\ninstall(Tracer())\n"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

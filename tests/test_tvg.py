@@ -1,10 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import present_at
+from oracles import _next_up, present_at
 from tvgsim.errors import DomainError
 from tvgsim.graphs import StaticGraph
 from tvgsim.scenarios import ALWAYS, generate_gk
@@ -98,6 +98,22 @@ def test_occurrences_after_matches_filtered_walk(intervals, tail, after):
     s = _schedule(intervals, tail)
     walk = (occ for occ in s.occurrences() if occ[1] is None or occ[1] > after)
     assert list(itertools.islice(s.occurrences(after), 12)) == list(itertools.islice(walk, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals_st, tail_st)
+@example([(0, 2), (5, 7)], None)  # finite only
+@example([(0, 2)], PeriodicTail(10, 4, 2))  # an early interval, then a periodic tail
+@example([], PeriodicTail(3, 5, 1))  # a periodic tail alone
+@example([(1, 2)], PeriodicTail(5, 3, 3))  # a contiguous tail
+@example([(0, 4)], PeriodicTail(4, 3, 2))  # an interval folded into the touching tail
+def test_next_occurrence_matches_the_occurrence_walk(intervals, tail):
+    s = _schedule(intervals, tail)
+    last = max([e for _, e in s.intervals], default=0)
+    if s.tail is not None:
+        last = s.tail.offset + 4 * s.tail.period  # a few periods past the last offset
+    for t in range(last + 2):
+        assert s.next_occurrence(t) == _next_up(s, t)[0], t
 
 
 @settings(max_examples=150, deadline=None)
