@@ -16,6 +16,11 @@ the underlying-graph value, which hashes and compares as its vertex mask,
 edge mask and edge index: it equals only values of the same index, so each
 protocol instance's values have their own entries.  ``cache_stats`` reports
 the hits, misses and sizes of every such cache.
+
+Rank masks.  The subset scan and the strong-set search encode a graph as
+one int per vertex, in id order: the mask of its neighbours' ranks.  A
+dominated vertex's cut-set test is then one BFS over those masks from that
+vertex, leaving out its edges to its dominators; no subgraph is built.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CapacityError, DomainError
 
@@ -209,17 +214,41 @@ def is_minimal_dominating(g: StaticGraph, m: Iterable[VertexId]) -> bool:
     return all(not is_dominating(g, ms - {v}) for v in ms)
 
 
+def _neighbour_masks(g: StaticGraph) -> Tuple[List[VertexId], List[int]]:
+    """The vertices in id order, and each one's neighbours as a mask of
+    their ranks in that order: the one encoding of the subset scan and the
+    witness search."""
+    verts = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    adj = g.adjacency
+    masks = []
+    for v in verts:
+        mask = 0
+        for u in adj[v]:
+            mask |= 1 << index[u]
+        masks.append(mask)
+    return verts, masks
+
+
+def _reached(neighbours: List[int], seen: int, frontier: int) -> int:
+    """Mask of the vertices in ``seen``, in ``frontier`` or reachable from
+    ``frontier`` outside ``seen``: a BFS over rank masks, a layer at a time."""
+    while frontier:
+        seen |= frontier
+        layer = 0
+        while frontier:
+            low = frontier & -frontier
+            layer |= neighbours[low.bit_length() - 1]
+            frontier ^= low
+        frontier = layer & ~seen
+    return seen
+
+
 @bounded_cache
 def _enumerate_mds_cached(g: StaticGraph) -> Tuple[FrozenSet[VertexId], ...]:
-    verts = g.sorted_vertices()
+    verts, neighbours = _neighbour_masks(g)
     n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    closed = []
-    for i, v in enumerate(verts):
-        mask = 1 << i
-        for u in g.adjacency[v]:
-            mask |= 1 << index[u]
-        closed.append(mask)
+    closed = [mask | 1 << i for i, mask in enumerate(neighbours)]
     full = (1 << n) - 1
     result = []
     for size in range(1, n + 1):
@@ -264,20 +293,32 @@ def is_smds_via_cutsets(g: StaticGraph, m: Iterable[VertexId]) -> bool:
         raise DomainError("cut-set characterization requires a connected graph")
     if not is_minimal_dominating(g, ms):
         raise DomainError("cut-set characterization requires a minimal dominating set")
-    return _first_witness(g, ms) is None
+    return _first_witness(*_neighbour_masks(g), ms) is None
 
 
 def smds_witness(g: StaticGraph, m: Iterable[VertexId]) -> Optional[VertexId]:
     """First dominated vertex (in id order) whose dominator edges are not a
-    cut-set, or None when the candidate passes the characterization."""
-    return _first_witness(g, frozenset(m))
+    cut-set, or None when the candidate passes the characterization.  Vertices
+    of ``m`` outside the graph are ignored."""
+    ms = frozenset(m)
+    verts, neighbours = _neighbour_masks(g)
+    if not g.vertices <= ms and _reached(neighbours, 1, neighbours[0]) != (1 << len(verts)) - 1:
+        raise DomainError("cut-set test requires a connected graph")
+    return _first_witness(verts, neighbours, ms)
 
 
-def _first_witness(g: StaticGraph, ms: FrozenSet[VertexId]) -> Optional[VertexId]:
-    # No public name calls another, so a count of calls to one of them
-    # counts only its own callers.
-    for p in sorted(g.vertices - ms, key=vertex_key):
-        if not is_cut_set(g, dominator_edges(g, p, ms)):
+def _first_witness(verts: List[VertexId], neighbours: List[int], ms: FrozenSet[VertexId]) -> Optional[VertexId]:
+    # find_smds and smds_witness share this helper, which calls no public
+    # name, so a count of calls to either counts only its own callers.
+    # The graph is connected, so the edges from p to its dominators are a
+    # cut-set exactly when a BFS from p that leaves them out misses a vertex.
+    full = (1 << len(verts)) - 1
+    dominators = 0
+    for i, v in enumerate(verts):
+        if v in ms:
+            dominators |= 1 << i
+    for i, p in enumerate(verts):
+        if not dominators >> i & 1 and _reached(neighbours, 1 << i, neighbours[i] & ~dominators) == full:
             return p
     return None
 
@@ -295,7 +336,8 @@ def find_smds(g: StaticGraph) -> Optional[FrozenSet[VertexId]]:
     if not is_connected(g):
         raise DomainError("strong-MDS search requires a connected graph")
     check_subset_scan(g.vertices)
+    verts, neighbours = _neighbour_masks(g)
     for candidate in _enumerate_mds_cached(g):
-        if _first_witness(g, candidate) is None:
+        if _first_witness(verts, neighbours, candidate) is None:
             return candidate
     return None

@@ -7,9 +7,12 @@ for every i >= 0).  A contiguous tail (duration == period) is normalized to
 period = duration = 1 and represents "present forever from offset".
 
 ``PresenceSchedule.of`` builds the normal form and the constructor rejects
-any other, so a schedule that exists is normal.  Two methods read that form:
-``occurrences(after)``, whose maximal occurrences windows and masks walk,
-and ``next_occurrence(t)``, the engine's one query of an edge's future.
+any other, so a schedule that exists is normal.  Three methods read that
+form: ``occurrences(after)``, the walk over maximal occurrences that masks
+take; ``next_occurrence(t)``, the engine's one query of an edge's future;
+and ``earliest_window(t, duration)``, the journey search's one query.  The
+last two walk nothing: they bisect the finite intervals and find their
+place in the periodic tail by arithmetic.
 
 ``earliest_arrival`` reads a Tvg's ``incidence`` table: each vertex's
 (neighbour, schedule, latency) triples, built on the first query and kept
@@ -156,14 +159,27 @@ class PresenceSchedule:
             raise DomainError(f"tick {t} is negative")
         if duration < 0:
             raise DomainError(f"duration {duration} is negative")
+        intervals = self.intervals
+        if intervals and intervals[-1][1] > t:
+            i = bisect_left(intervals, (t,))  # the first interval starting at or after t
+            if i and t < intervals[i - 1][1] and t + duration <= intervals[i - 1][1]:
+                return t
+            for (s, e) in intervals[i:]:
+                if s + duration <= e:
+                    return s
         tail = self.tail
-        for (s, e) in self.occurrences(t):
-            c = max(s, t)  # c < e, as the occurrence ends after t
-            if e is None or c + duration <= e:
-                return c
-            if s >= t and tail is not None and s >= tail.offset:
-                return None  # every later tail occurrence is as short
-        return None
+        if tail is None:
+            return None
+        s, p, d = tail.offset, tail.period, tail.duration
+        if d == p:  # contiguous
+            return max(s, t)
+        if s < t:
+            r = (t - s) % p  # t's place in its period
+            if r < d and r + duration <= d:
+                return t
+            s = t - r + p  # the first start after t
+        # Every tail occurrence starting at or after t is d ticks long.
+        return s if duration <= d else None
 
     def minus(self, start: Tick, end: Optional[Tick]) -> "PresenceSchedule":
         """Schedule with presence removed over [start, end); end None = forever."""

@@ -17,6 +17,7 @@ from tvgsim.graphs import (
     edge_key,
     find_smds,
     is_connected,
+    is_cut_set,
     is_minimal_dominating,
     smds_witness,
     vertex_key,
@@ -54,6 +55,15 @@ def is_smds_bruteforce(g: StaticGraph, m: Iterable[VertexId]) -> bool:
     return all(is_minimal_dominating(sub, ms) for sub in enumerate_connected_spanning_subgraphs(g))
 
 
+def first_witness_by_cut_sets(g: StaticGraph, ms: FrozenSet[VertexId]):
+    """The strong-set witness search as first written: each dominated vertex
+    in id order, tested by building the graph without its dominator edges."""
+    for p in sorted(g.vertices - ms, key=vertex_key):
+        if not is_cut_set(g, dominator_edges(g, p, ms)):
+            return p
+    return None
+
+
 def graph_to_str(g: StaticGraph) -> str:
     """The ug output format by rank: vertex ``u``'s rank in the canonical
     order sorts edge (u, v) at ``rank[u] * n + rank[v]``, with integer keys
@@ -82,6 +92,23 @@ def _next_up(schedule: PresenceSchedule, t: Tick):
         if occ[0] >= t:
             return occ, later
     return None, later
+
+
+def earliest_window_by_walk(schedule: PresenceSchedule, t: Tick, duration: Tick):
+    """``PresenceSchedule.earliest_window`` as first written: a walk over the
+    occurrences ending after ``t``."""
+    if t < 0:
+        raise DomainError(f"tick {t} is negative")
+    if duration < 0:
+        raise DomainError(f"duration {duration} is negative")
+    tail = schedule.tail
+    for (s, e) in schedule.occurrences(t):
+        c = max(s, t)  # c < e, as the occurrence ends after t
+        if e is None or c + duration <= e:
+            return c
+        if s >= t and tail is not None and s >= tail.offset:
+            return None  # every later tail occurrence is as short
+    return None
 
 
 def _affine(schedule: PresenceSchedule, k: int, d: Tick) -> PresenceSchedule:

@@ -43,6 +43,39 @@ def test_analyze(c5_file, capsys):
     assert "witness d" in out
 
 
+# C5 as CI writes it, and the analysis it prints: every minimal dominating set
+# with its witness.  CI diffs the installed console script against the same text.
+C5_P_TEXT = "vertices: p1, p2, p3, p4, p5\n" + "".join(
+    f"edge: p{i} p{i % 5 + 1}\n" for i in range(1, 6)
+)
+C5_ANALYSIS = """\
+vertices: 5
+edges: 5
+connected: yes
+diameter: 2
+minimal dominating sets (5):
+  {p1, p3}
+  {p1, p4}
+  {p2, p4}
+  {p2, p5}
+  {p3, p5}
+no strong minimal dominating set
+  candidate {p1, p3}: witness p4, dominator edges {p3-p4} are not a cut-set
+  candidate {p1, p4}: witness p2, dominator edges {p1-p2} are not a cut-set
+  candidate {p2, p4}: witness p1, dominator edges {p1-p2} are not a cut-set
+  candidate {p2, p5}: witness p3, dominator edges {p2-p3} are not a cut-set
+  candidate {p3, p5}: witness p1, dominator edges {p1-p5} are not a cut-set
+"""
+
+
+def test_analyze_prints_every_candidate_witness_without_a_strong_set(tmp_path, capsys):
+    path = tmp_path / "c5.txt"
+    path.write_text(C5_P_TEXT)
+    assert main(["analyze", str(path), "--all-mds", "--smds"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (C5_ANALYSIS, "")
+
+
 def test_analyze_star(tmp_path, capsys):
     path = tmp_path / "star.txt"
     path.write_text("vertices: hub, x, y, z\nedge: hub x\nedge: hub y\nedge: hub z\n")

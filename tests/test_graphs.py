@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nx_to_static
-from oracles import enumerate_connected_spanning_subgraphs, is_smds_bruteforce
+from oracles import enumerate_connected_spanning_subgraphs, first_witness_by_cut_sets, is_smds_bruteforce
 from tvgsim.errors import CapacityError, DomainError
 from tvgsim.graphs import (
     StaticGraph,
@@ -218,6 +218,46 @@ def test_smds_witness_c5():
     assert smds_witness(c5, {"p1", "p3"}) == "p4"
     p4 = named_graph("path", 4)
     assert smds_witness(p4, {"p1", "p3"}) is None
+
+
+def test_smds_witness_requires_a_connected_graph_unless_nothing_is_dominated():
+    g = StaticGraph.of(["a", "b", "c"], [("a", "b")])
+    for m in (set(), {"a"}, {"a", "c"}, {"a", "b", "zz"}):
+        with pytest.raises(DomainError, match="^cut-set test requires a connected graph$"):
+            smds_witness(g, m)
+    # With every vertex in the set there is no vertex to test.
+    assert smds_witness(g, {"a", "b", "c"}) is None
+    assert smds_witness(g, {"a", "b", "c", "zz"}) is None
+    # Members outside the graph are ignored.
+    assert smds_witness(named_graph("path", 4), {"p1", "p3", "zz"}) is None
+    assert smds_witness(StaticGraph.of([], []), set()) is None
+
+
+def _connected_atlas(sizes):
+    return [nx_to_static(g) for g in nx.graph_atlas_g() if g.number_of_nodes() in sizes and nx.is_connected(g)]
+
+
+def test_smds_witness_matches_the_cut_set_walk_on_the_7_vertex_census():
+    graphs = _connected_atlas({7})
+    assert len(graphs) == 853
+    pairs = strong = 0
+    for g in graphs:
+        for m in enumerate_minimal_dominating_sets(g):
+            assert smds_witness(g, m) == first_witness_by_cut_sets(g, m), (g.sorted_edges(), sorted(m))
+            pairs += 1
+        strong += find_smds(g) is not None
+    assert pairs == 8323
+    assert strong == 63
+
+
+def test_smds_witness_matches_the_cut_set_walk_on_every_subset_up_to_6_vertices():
+    # Every vertex subset: non-dominating and non-minimal sets as well.
+    for g in _connected_atlas(range(1, 7)):
+        verts = g.sorted_vertices()
+        for size in range(len(verts) + 1):
+            for combo in itertools.combinations(verts, size):
+                m = frozenset(combo)
+                assert smds_witness(g, m) == first_witness_by_cut_sets(g, m), (g.sorted_edges(), combo)
 
 
 def test_cutset_characterization_requires_minimal_dominating():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import _next_up, present_at
+from oracles import _next_up, earliest_window_by_walk, present_at
 from tvgsim.errors import DomainError
 from tvgsim.graphs import StaticGraph
 from tvgsim.scenarios import ALWAYS, generate_gk
@@ -132,6 +132,24 @@ def test_earliest_window_matches_scan(intervals, tail, t, duration):
         assert got == scan
     else:
         assert scan is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals_st, tail_st)
+@example([(0, 2), (5, 10)], None)  # an interval holding t but too short, then a long one
+@example([], PeriodicTail(3, 5, 2))  # a tail shorter than most durations asked
+@example([(1, 2)], PeriodicTail(5, 3, 3))  # a contiguous tail
+@example([(0, 2)], PeriodicTail(10, 4, 2))  # t in the gap before the tail
+def test_earliest_window_matches_the_occurrence_walk(intervals, tail):
+    s = _schedule(intervals, tail)
+    last = max([e for _, e in s.intervals], default=0)
+    longest = max([e - b for b, e in s.intervals], default=0)
+    if s.tail is not None:
+        last = s.tail.offset + 4 * s.tail.period  # four periods past the tail offset
+        longest = max(longest, s.tail.period)
+    for t in range(last + 2):
+        for duration in range(longest + 2):
+            assert s.earliest_window(t, duration) == earliest_window_by_walk(s, t, duration), (t, duration)
 
 
 def test_earliest_window_rejects_negative_tick():
