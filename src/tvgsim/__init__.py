@@ -18,10 +18,8 @@ from .graphs import (
     enumerate_minimal_dominating_sets,
     find_smds,
     is_connected,
-    is_cut_set,
     is_dominating,
     is_minimal_dominating,
-    is_smds_via_cutsets,
     make_edge,
     smds_witness,
 )

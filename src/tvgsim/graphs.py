@@ -186,16 +186,6 @@ def diameter(g: StaticGraph) -> int:
     return best
 
 
-def is_cut_set(g: StaticGraph, f: Iterable[Edge]) -> bool:
-    fs = frozenset(make_edge(u, v) for (u, v) in f)
-    extra = fs - g.edges
-    if extra:
-        raise DomainError(f"cut-set candidate contains edges not in graph: {sorted(extra, key=edge_key)}")
-    if not is_connected(g):
-        raise DomainError("cut-set test requires a connected graph")
-    return not is_connected(g.subgraph_with_edges(g.edges - fs))
-
-
 def is_dominating(g: StaticGraph, m: Iterable[VertexId]) -> bool:
     ms = frozenset(m)
     extra = ms - g.vertices
@@ -285,15 +275,6 @@ def enumerate_minimal_dominating_sets(g: StaticGraph):
         raise DomainError("no dominating sets on an empty vertex set")
     check_subset_scan(g.vertices)
     return list(_enumerate_mds_cached(g))
-
-
-def is_smds_via_cutsets(g: StaticGraph, m: Iterable[VertexId]) -> bool:
-    ms = frozenset(m)
-    if not is_connected(g):
-        raise DomainError("cut-set characterization requires a connected graph")
-    if not is_minimal_dominating(g, ms):
-        raise DomainError("cut-set characterization requires a minimal dominating set")
-    return _first_witness(*_neighbour_masks(g), ms) is None
 
 
 def smds_witness(g: StaticGraph, m: Iterable[VertexId]) -> Optional[VertexId]:

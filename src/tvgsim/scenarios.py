@@ -9,8 +9,10 @@ absolute doubling horizons a run restarted from tick 0 would use, so it
 reports the same set and tick, and each round forks and amends it where the
 schedule changes.  It processes at most 1.1x the events of one run of the
 scenario it returns, and its forks copy containers only, but its time per
-round grows with the rounds done: each amend's agreement check, and each
-round's ``restrict``, walks the schedule so far."""
+round grows with the rounds done: each schedule it derives, by ``minus``
+for an amend and its agreement check or by ``restrict``, passes the
+normal-form check over the schedule so far, and each round's ``restrict``
+rebuilds the ``Tvg``."""
 
 from __future__ import annotations
 

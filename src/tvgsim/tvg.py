@@ -8,11 +8,12 @@ period = duration = 1 and represents "present forever from offset".
 
 ``PresenceSchedule.of`` builds the normal form and the constructor rejects
 any other, so a schedule that exists is normal.  Three methods read that
-form: ``occurrences(after)``, the walk over maximal occurrences that masks
-take; ``next_occurrence(t)``, the engine's one query of an edge's future;
-and ``earliest_window(t, duration)``, the journey search's one query.  The
-last two walk nothing: they bisect the finite intervals and find their
-place in the periodic tail by arithmetic.
+form, and each bisects the finite intervals and finds its place in the
+periodic tail by arithmetic, walking no occurrences: ``next_occurrence(t)``,
+the engine's one query of an edge's future; ``earliest_window(t,
+duration)``, the journey search's one query; and ``minus(start, end)``, the
+mask that ``restrict`` and the adversary apply, which writes out only the
+tail occurrences before ``start``.
 
 ``earliest_arrival`` reads a Tvg's ``incidence`` table: each vertex's
 (neighbour, schedule, latency) triples, built on the first query and kept
@@ -25,7 +26,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .graphs import Edge, StaticGraph, VertexId, is_connected, make_edge
@@ -118,25 +119,6 @@ class PresenceSchedule:
     def is_empty(self) -> bool:
         return not self.intervals and self.tail is None
 
-    def occurrences(self, after: Tick = 0) -> Iterator[Interval]:
-        """The maximal presence intervals that end after ``after``, in order;
-        the last may be unbounded (end None).  Infinite for a non-contiguous
-        tail, whose first such occurrence is found by arithmetic."""
-        for (s, e) in self.intervals:
-            if e > after:
-                yield (s, e)
-        tail = self.tail
-        if tail is None:
-            return
-        if tail.duration == tail.period:
-            yield (tail.offset, None)
-            return
-        skip = max(0, (after - tail.offset - tail.duration) // tail.period + 1)
-        s = tail.offset + skip * tail.period
-        while True:
-            yield (s, s + tail.duration)
-            s += tail.period
-
     def next_occurrence(self, t: Tick) -> Optional[Interval]:
         """The first maximal occurrence starting at or after ``t``, or None."""
         intervals = self.intervals
@@ -185,22 +167,31 @@ class PresenceSchedule:
         """Schedule with presence removed over [start, end); end None = forever."""
         if start < 0 or (end is not None and end <= start):
             raise DomainError(f"invalid mask interval [{start},{end})")
-        tail = self.tail
-        new_tail: Optional[PeriodicTail] = None
-        if end is not None and tail is not None:
-            # The tail resumes unchanged at its first occurrence starting at
-            # or after end; for a contiguous tail that is max(offset, end).
-            skip = max(0, -(-(end - tail.offset) // tail.period))
-            new_tail = PeriodicTail(tail.offset + skip * tail.period, tail.period, tail.duration)
-        fin: List[Tuple[Tick, Tick]] = []
-        for (s, e) in self.occurrences():
-            if s >= start and (end is None or new_tail is not None and s >= new_tail.offset):
-                break
-            if s < start:
-                fin.append((s, start if e is None else min(e, start)))
-            if end is not None and e is not None and e > end:
-                fin.append((max(s, end), e))
-        return PresenceSchedule.of(fin, new_tail)
+        intervals, tail = self.intervals, self.tail
+        # Before start: the intervals starting before it, then the tail's
+        # occurrences starting before it, the last of them cut at start.
+        kept = list(intervals[:bisect_left(intervals, (start,))])
+        if tail is not None and tail.offset < start:
+            s, p, d = tail.offset, tail.period, tail.duration
+            kept += [(s, start)] if d == p else [(a, a + d) for a in range(s, start, p)]
+        if kept and kept[-1][1] > start:
+            kept[-1] = (kept[-1][0], start)
+        if end is None:
+            return PresenceSchedule.of(kept)
+        # From end on: the rest of the occurrence holding end, the intervals
+        # starting at or after it, and the tail from its first start at or
+        # after end (for a contiguous tail, end itself).
+        j = bisect_left(intervals, (end,))
+        if j and intervals[j - 1][1] > end:
+            kept.append((end, intervals[j - 1][1]))
+        kept += intervals[j:]
+        if tail is not None and tail.offset < end:
+            s, p, d = tail.offset, tail.period, tail.duration
+            r = (end - s) % p  # end's place in its period
+            if 0 < r < d:
+                kept.append((end, end - r + d))
+            tail = PeriodicTail(end - r + p if r else end, p, d)
+        return PresenceSchedule.of(kept, tail)
 
 
 @dataclass(frozen=True)

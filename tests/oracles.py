@@ -4,7 +4,7 @@ written apart from the code they check."""
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from tvgsim.engine import EDGE_UP, MESSAGE_DELIVERED, OUTPUT_CHANGED, SEND_INVOKED, Protocol, Trace, run
 from tvgsim.errors import CapacityError, DomainError, GenerationError
@@ -17,15 +17,15 @@ from tvgsim.graphs import (
     edge_key,
     find_smds,
     is_connected,
-    is_cut_set,
     is_minimal_dominating,
+    make_edge,
     smds_witness,
     vertex_key,
 )
 from tvgsim.metrics import ComplexityReport, NpsFamily
 from tvgsim.protocols import MdstProtocol, bool_to_str
 from tvgsim.scenarios import ALWAYS, AdversaryRound
-from tvgsim.tvg import PeriodicTail, PresenceSchedule, Tick, Tvg, restrict
+from tvgsim.tvg import Interval, PeriodicTail, PresenceSchedule, Tick, Tvg, restrict
 
 # Spanning subgraphs are enumerated as edge subsets: exponential in edges.
 SUBGRAPH_EDGE_CAP = 16
@@ -55,6 +55,18 @@ def is_smds_bruteforce(g: StaticGraph, m: Iterable[VertexId]) -> bool:
     return all(is_minimal_dominating(sub, ms) for sub in enumerate_connected_spanning_subgraphs(g))
 
 
+def is_cut_set(g: StaticGraph, f: Iterable[Edge]) -> bool:
+    """Whether removing the edges ``f`` disconnects the connected graph ``g``,
+    by building the graph without them."""
+    fs = frozenset(make_edge(u, v) for (u, v) in f)
+    extra = fs - g.edges
+    if extra:
+        raise DomainError(f"cut-set candidate contains edges not in graph: {sorted(extra, key=edge_key)}")
+    if not is_connected(g):
+        raise DomainError("cut-set test requires a connected graph")
+    return not is_connected(g.subgraph_with_edges(g.edges - fs))
+
+
 def first_witness_by_cut_sets(g: StaticGraph, ms: FrozenSet[VertexId]):
     """The strong-set witness search as first written: each dominated vertex
     in id order, tested by building the graph without its dominator edges."""
@@ -77,17 +89,37 @@ def graph_to_str(g: StaticGraph) -> str:
 
 def present_at(schedule: PresenceSchedule, t: Tick) -> bool:
     """Presence at tick ``t`` straight from the stored intervals and tail,
-    without the schedule's occurrence walk."""
+    without the occurrence walk."""
     if any(s <= t < e for (s, e) in schedule.intervals):
         return True
     tail = schedule.tail
     return tail is not None and t >= tail.offset and (t - tail.offset) % tail.period < tail.duration
 
 
+def occurrences(schedule: PresenceSchedule, after: Tick = 0) -> Iterator[Interval]:
+    """The maximal presence intervals of ``schedule`` that end after
+    ``after``, in order; the last may be unbounded (end None).  Infinite for
+    a non-contiguous tail, whose first such occurrence is found by arithmetic."""
+    for (s, e) in schedule.intervals:
+        if e > after:
+            yield (s, e)
+    tail = schedule.tail
+    if tail is None:
+        return
+    if tail.duration == tail.period:
+        yield (tail.offset, None)
+        return
+    skip = max(0, (after - tail.offset - tail.duration) // tail.period + 1)
+    s = tail.offset + skip * tail.period
+    while True:
+        yield (s, s + tail.duration)
+        s += tail.period
+
+
 def _next_up(schedule: PresenceSchedule, t: Tick):
     """The first occurrence of ``schedule`` starting at or after ``t`` (None
     when there is none), and an iterator over the occurrences after it."""
-    later = schedule.occurrences(t)
+    later = occurrences(schedule, t)
     for occ in later:
         if occ[0] >= t:
             return occ, later
@@ -102,13 +134,36 @@ def earliest_window_by_walk(schedule: PresenceSchedule, t: Tick, duration: Tick)
     if duration < 0:
         raise DomainError(f"duration {duration} is negative")
     tail = schedule.tail
-    for (s, e) in schedule.occurrences(t):
+    for (s, e) in occurrences(schedule, t):
         c = max(s, t)  # c < e, as the occurrence ends after t
         if e is None or c + duration <= e:
             return c
         if s >= t and tail is not None and s >= tail.offset:
             return None  # every later tail occurrence is as short
     return None
+
+
+def minus_by_walk(schedule: PresenceSchedule, start: Tick, end: Optional[Tick]) -> PresenceSchedule:
+    """``PresenceSchedule.minus`` as first written: a walk over every
+    occurrence from tick 0."""
+    if start < 0 or (end is not None and end <= start):
+        raise DomainError(f"invalid mask interval [{start},{end})")
+    tail = schedule.tail
+    new_tail = None
+    if end is not None and tail is not None:
+        # The tail resumes unchanged at its first occurrence starting at
+        # or after end; for a contiguous tail that is max(offset, end).
+        skip = max(0, -(-(end - tail.offset) // tail.period))
+        new_tail = PeriodicTail(tail.offset + skip * tail.period, tail.period, tail.duration)
+    fin: List[Tuple[Tick, Tick]] = []
+    for (s, e) in occurrences(schedule):
+        if s >= start and (end is None or new_tail is not None and s >= new_tail.offset):
+            break
+        if s < start:
+            fin.append((s, start if e is None else min(e, start)))
+        if end is not None and e is not None and e > end:
+            fin.append((max(s, end), e))
+    return PresenceSchedule.of(fin, new_tail)
 
 
 def _affine(schedule: PresenceSchedule, k: int, d: Tick) -> PresenceSchedule:

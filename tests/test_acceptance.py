@@ -30,11 +30,12 @@
 
 import hashlib
 import itertools
-import json
+import os
+import pathlib
 import random
+import re
 import subprocess
 import sys
-import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
@@ -44,11 +45,13 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from conftest import nx_to_static
+from digests import corpus_digest
 from oracles import (
     adversary_by_restarts,
     dilate,
     enumerate_connected_spanning_subgraphs,
     is_smds_bruteforce,
+    occurrences,
     present_at,
     shift,
 )
@@ -67,8 +70,8 @@ from tvgsim.graphs import (
     enumerate_minimal_dominating_sets,
     find_smds,
     is_minimal_dominating,
-    is_smds_via_cutsets,
     make_edge,
+    smds_witness,
 )
 from tvgsim.metrics import ComplexityReport, convergence_steps, nps_ug
 from tvgsim.protocols import PROTOCOLS, FloodProtocol, MdstProtocol, UgProtocol, get_protocol
@@ -122,7 +125,7 @@ def test_cutset_characterization_matches_bruteforce_census():
         subs = list(enumerate_connected_spanning_subgraphs(g))
         for m in enumerate_minimal_dominating_sets(g):
             brute = all(is_minimal_dominating(sub, m) for sub in subs)
-            if brute != is_smds_via_cutsets(g, m):
+            if brute != (smds_witness(g, m) is None):
                 discrepancies += 1
         graphs += 1
     assert graphs >= 100  # the census actually covered the atlas
@@ -383,7 +386,7 @@ single_edge_tail = st.one_of(
 def _expected_delivery(sched, z, horizon):
     """First occurrence whose length carries the latency; attempt happens at
     the occurrence start (the message is pending from tick 0)."""
-    for (s, e) in sched.occurrences():
+    for (s, e) in occurrences(sched):
         if s >= horizon:
             return None
         if e is None or s + z <= e:
@@ -419,7 +422,7 @@ def test_send_retry_delivery_contract(intervals, tail, z):
     # every insufficient occurrence before delivery loses the message at its end
     losses = [ev.time for ev in trace.events if ev.kind == MESSAGE_LOST]
     expect_losses = []
-    for (s, e) in sched.occurrences():
+    for (s, e) in occurrences(sched):
         if s >= horizon or (expected is not None and s + z > expected):
             break
         if e is not None and s + z > e and e < horizon:
@@ -428,23 +431,6 @@ def test_send_retry_delivery_contract(intervals, tail, z):
 
 
 # --- 9: determinism --------------------------------------------------------
-
-def _corpus_digest():
-    h = hashlib.sha256()
-    for seed in range(12):
-        n = 3 + seed % 6
-        tvg = generate_random_cot(n, 0.3, 0.2, 32, seed)
-        trace = run(tvg, UgProtocol(), 200)
-        h.update(trace.serialize().encode())
-    for k in (1, 2, 3):
-        tvg = generate_gk(k)
-        ug = tvg.graph
-        trace = run(tvg, UgProtocol(), 20 + 10 * k)
-        h.update(trace.serialize().encode())
-        report = convergence_steps(trace, nps_ug(ug))
-        h.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
-    return h.hexdigest()
-
 
 # Digests of the serialized traces, recorded before the engine's lazy edge
 # schedule and callback elision landed; both must stay byte-for-byte equal.
@@ -538,27 +524,43 @@ def test_edge_callbacks_alternate_starting_with_appear():
     assert disappearances > 0
 
 
+def _interpreters():
+    """The real binary of each ``python3.X`` (X >= 10) on PATH, the first
+    found per version.  A pyenv shim stands for the binaries under its
+    root's ``versions/``; the shim itself needs pyenv on PATH to run."""
+    found = {}
+    for d in os.environ.get("PATH", "").split(os.pathsep):
+        for path in sorted(pathlib.Path(d or ".").glob("python3.*")):
+            m = re.fullmatch(r"python3\.(\d+)", path.name)
+            if not m or int(m[1]) < 10 or m[1] in found or not os.access(path, os.X_OK):
+                continue
+            if path.parent.name == "shims":
+                real = sorted(path.parent.parent.glob(f"versions/*/bin/{path.name}"))
+                if not real:
+                    continue
+                path = real[0]
+            found[m[1]] = str(path.resolve())
+    return found
+
+
 def test_traces_are_deterministic_across_runs_and_interpreters():
-    digest = _corpus_digest()
+    digest = corpus_digest()
     assert digest == CORPUS_DIGEST
 
-    program = textwrap.dedent(
-        """
-        import sys
-        sys.path[:0] = %r
-        from test_acceptance import _corpus_digest
-        print(_corpus_digest())
-        """
-    ) % (sys.path,)
-    for hashseed in ("0", "424242"):
+    # The digest needs only the standard library and tvgsim, so the child's
+    # path holds the tests and the package and nothing of this interpreter's.
+    tests = pathlib.Path(__file__).resolve().parent
+    path = [str(tests), str(tests.parent / "src")]
+    program = f"import sys\nsys.path[:0] = {path!r}\nfrom digests import corpus_digest\nprint(corpus_digest())\n"
+    interpreters = {os.path.realpath(sys.executable), *_interpreters().values()}
+    for python, hashseed in itertools.product(sorted(interpreters), ("0", "424242")):
         out = subprocess.run(
-            [sys.executable, "-c", program],
+            [python, "-c", program],
             capture_output=True,
             text=True,
             env={"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin"},
-            check=True,
         )
-        assert out.stdout.strip() == digest
+        assert (out.returncode, out.stdout.strip()) == (0, digest), (python, hashseed, out.stderr)
 
 
 # --- 10: earliest-arrival oracle -------------------------------------------

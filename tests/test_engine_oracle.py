@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ForwardingProxy
+from oracles import occurrences
 from tvgsim.engine import (
     EDGE_DOWN,
     EDGE_UP,
@@ -79,10 +80,10 @@ def heap_run(tvg: Tvg, protocol, horizon: Tick) -> Trace:
             for item in items:
                 heappush(heap, (t, _PHASE_CALLBACK, vertex_index[item[1]], next(seq), item))
 
-    occurrences = {e: tvg.schedule[e].occurrences() for e in edges}
+    walks = {e: occurrences(tvg.schedule[e]) for e in edges}
 
     def push_next_up(e: Edge):
-        occ = next(occurrences[e], None)
+        occ = next(walks[e], None)
         if occ is not None and occ[0] < horizon:
             heappush(heap, (occ[0], _PHASE_UP, edge_index[e], next(seq), (e, occ[1])))
 

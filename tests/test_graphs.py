@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nx_to_static
-from oracles import enumerate_connected_spanning_subgraphs, first_witness_by_cut_sets, is_smds_bruteforce
+from oracles import enumerate_connected_spanning_subgraphs, first_witness_by_cut_sets, is_cut_set, is_smds_bruteforce
 from tvgsim.errors import CapacityError, DomainError
 from tvgsim.graphs import (
     StaticGraph,
@@ -16,10 +16,8 @@ from tvgsim.graphs import (
     enumerate_minimal_dominating_sets,
     find_smds,
     is_connected,
-    is_cut_set,
     is_dominating,
     is_minimal_dominating,
-    is_smds_via_cutsets,
     make_edge,
     smds_witness,
     vertex_key,
@@ -260,13 +258,7 @@ def test_smds_witness_matches_the_cut_set_walk_on_every_subset_up_to_6_vertices(
                 assert smds_witness(g, m) == first_witness_by_cut_sets(g, m), (g.sorted_edges(), combo)
 
 
-def test_cutset_characterization_requires_minimal_dominating():
-    c5 = named_graph("cycle", 5)
-    with pytest.raises(DomainError):
-        is_smds_via_cutsets(c5, {"p1"})
-
-
 def test_bruteforce_agrees_on_small_fixtures():
     for g in [named_graph("cycle", 4), named_graph("complete", 4), named_graph("path", 5)]:
         for m in enumerate_minimal_dominating_sets(g):
-            assert is_smds_bruteforce(g, m) == is_smds_via_cutsets(g, m)
+            assert is_smds_bruteforce(g, m) == (smds_witness(g, m) is None)

@@ -17,7 +17,7 @@ from tvgsim.graphs import (
     clear_caches,
     find_smds,
     is_minimal_dominating,
-    is_smds_via_cutsets,
+    smds_witness,
 )
 from tvgsim.protocols import (
     PROTOCOLS,
@@ -257,7 +257,7 @@ def _chosen_set_uncached(g, status, v):
     v's component once the edges last seen down are dropped."""
     comp = _component(g, v)
     for m in _mds_in_order(comp):
-        if is_smds_via_cutsets(comp, m):
+        if smds_witness(comp, m) is None:
             return m
     down = {e for e, count in status.items() if count % 2 == 0}
     return next(_mds_in_order(_component(StaticGraph(comp.vertices, comp.edges - down), v)))

@@ -75,7 +75,7 @@ def test_random_cot_properties():
             if tail is not None and tail.duration < tail.period:
                 assert tail.duration >= tvg.latency[e]
         # every edge first appears within the requested span
-        assert all(next(s.occurrences())[0] < 32 for s in tvg.schedule.values())
+        assert all(s.next_occurrence(0)[0] < 32 for s in tvg.schedule.values())
 
 
 def _nx_bridges(g):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adversary_by_restarts, present_at
+from oracles import adversary_by_restarts, occurrences, present_at
 from test_acceptance import _engine_corpus
 from tvgsim.engine import EDGE_DOWN, EDGE_UP, MESSAGE_DELIVERED, MESSAGE_LOST, OUTPUT_CHANGED, Protocol, Simulation, Trace, run
 from tvgsim.errors import DomainError
@@ -251,7 +251,7 @@ def assert_one_pending_edge_event(sim):
     for e, schedule in sim.schedule.items():
         assert (e in sim._up) == (now > 0 and present_at(schedule, now - 1)), (e, now)
         if e in sim._up:
-            end = next(schedule.occurrences(now - 1))[1]  # the occurrence holding now - 1
+            end = next(occurrences(schedule, now - 1))[1]  # the occurrence holding now - 1
             expected = [] if end is None else [(EDGE_DOWN, end)]
         else:
             occ = schedule.next_occurrence(now)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import _next_up, earliest_window_by_walk, present_at
+from oracles import _next_up, earliest_window_by_walk, minus_by_walk, occurrences, present_at
 from tvgsim.errors import DomainError
 from tvgsim.graphs import StaticGraph
 from tvgsim.scenarios import ALWAYS, generate_gk
@@ -80,7 +80,7 @@ def test_schedule_normalization():
 def test_present_at_matches_occurrences(intervals, tail, t):
     s = _schedule(intervals, tail)
     expected = False
-    for (a, b) in s.occurrences():
+    for (a, b) in occurrences(s):
         if a > t:
             break
         if b is None or t < b:
@@ -96,8 +96,8 @@ def test_occurrences_after_matches_filtered_walk(intervals, tail, after):
     # after runs past the largest tail offset (40), so the walk often has to
     # jump into the tail rather than start at its first occurrence.
     s = _schedule(intervals, tail)
-    walk = (occ for occ in s.occurrences() if occ[1] is None or occ[1] > after)
-    assert list(itertools.islice(s.occurrences(after), 12)) == list(itertools.islice(walk, 12))
+    walk = (occ for occ in occurrences(s) if occ[1] is None or occ[1] > after)
+    assert list(itertools.islice(occurrences(s, after), 12)) == list(itertools.islice(walk, 12))
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,6 +179,26 @@ def test_minus_pointwise(intervals, tail, start, length, t):
     masked = s.minus(start, end)
     in_mask = start <= t and (end is None or t < end)
     assert present_at(masked, t) == (present_at(s, t) and not in_mask)
+
+
+@settings(max_examples=100, deadline=None)
+@given(intervals_st, tail_st)
+@example([(0, 2), (5, 7)], None)  # finite only
+@example([(1, 3)], PeriodicTail(6, 4, 2))  # an interval, then a periodic tail
+@example([], PeriodicTail(3, 5, 1))  # a periodic tail alone
+@example([(1, 2)], PeriodicTail(5, 3, 3))  # a contiguous tail
+@example([(0, 4)], PeriodicTail(4, 3, 2))  # an interval folded into the touching tail
+def test_minus_matches_the_occurrence_walk(intervals, tail):
+    # Every mask [start, end) over the schedule's first periods, end None
+    # included: start before every occurrence, inside one and in a gap; end
+    # on a tail occurrence's start (no empty piece), inside one and in a gap.
+    s = _schedule(intervals, tail)
+    last = max([e for _, e in s.intervals], default=0)
+    if s.tail is not None:
+        last = s.tail.offset + 3 * s.tail.period  # three periods past the tail offset
+    for start in range(last + 2):
+        for end in [None, *range(start + 1, last + 3)]:
+            assert s.minus(start, end) == minus_by_walk(s, start, end), (start, end)
 
 
 def test_minus_preserves_recurrence_for_bounded_masks():
