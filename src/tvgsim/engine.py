@@ -22,9 +22,16 @@ delivery at its arrival, one latency later, and the edge's ledger records
 that arrival.  A message's fate is decided once, when its edge goes down:
 every message still in flight with a later arrival is lost there, in
 message-id order, and waits for the edge's next appearance.  A delivery
-whose message no longer has that tick as its recorded arrival is a stale
-booking of a lost attempt, and does nothing.  So ``amend`` moves edge
-events only, never a message.
+whose message no longer has that tick as its recorded arrival, or has no
+ledger entry, is a stale booking of a lost attempt, and does nothing.  So
+``amend`` moves edge events only, never a message.
+
+A ``Simulation`` keeps a lost message even when its edge has no next
+occurrence, because ``amend`` may give the edge a future.  ``run`` returns
+only its sink, so nothing can amend the run it makes, and that run forgets
+what it can never deliver: a loss at an edge's last disappearance drops the
+ledger entry, and a later send over the edge is recorded but not stored.
+No record changes, since a parked message has no record after its loss.
 
 Pending work sits in a calendar: one bucket per tick, holding that tick's
 disappearances, appearances, deliveries and callbacks, and a heap holding
@@ -271,6 +278,10 @@ class Simulation:
     since tick 0, or since the fork for a twin.  Its ``final_outputs`` are
     the outputs at ``now``."""
 
+    # The edges past their last occurrence, whose messages a run forgets:
+    # set by ``run`` only.  None parks them, since ``amend`` may revive an edge.
+    _dead: Optional[set] = None
+
     def __init__(self, tvg: Tvg, protocol: Protocol, sink: Optional[TraceWriter] = None):
         if sink is not None and not isinstance(sink, TraceWriter):
             raise TypeError(f"sink must be a TraceWriter or None, not {type(sink).__name__}")
@@ -317,7 +328,8 @@ class Simulation:
         self._buckets: Dict[Tick, Tuple[list, list, list, list]] = {}
         self._up: Dict[Edge, Tick] = {}  # edge that is up -> its occurrence's start
         # The ledger: each edge's undelivered messages in id order, as
-        # (message, arrival of its attempt in flight, None while it waits).
+        # (message, arrival of its attempt in flight, None while it waits);
+        # with ``_dead`` set, none that waits on an edge in it.
         self._pending: Dict[Edge, Dict[int, Tuple[Message, Optional[Tick]]]] = {e: {} for e in edges}
         self._last_id = 0
         for e in edges:
@@ -355,7 +367,7 @@ class Simulation:
         latency, phi, edge_of = self._latency, self._phi, self._edge_of
         vertex_index = self._vertex_index
         appear_items, disappear_items = self._appear_items, self._disappear_items
-        states, up, pending = self._states, self._up, self._pending
+        states, up, pending, dead = self._states, self._up, self._pending, self._dead
         output, on_receive = self._protocol.output, self._protocol.on_receive
         sink, schedule = self.trace, self.schedule
         current_output, events, drain = sink.final_outputs, sink.events, sink.drain
@@ -387,6 +399,9 @@ class Simulation:
                     if arrival > tick:
                         record(new(TraceEvent, (tick, MESSAGE_LOST, (str(i),), None)))
                         waiting[i] = (m, None)
+                if occ is None and dead is not None:  # gone for good: forget its losses
+                    dead.add(e)
+                    pending[e] = {i: entry for i, entry in waiting.items() if entry[1] is not None}
                 if disappear_items[e] is not None:
                     (buckets.get(at) or bucket(at))[3].extend(disappear_items[e])
             for index, e, end in sorted(ups):
@@ -399,8 +414,9 @@ class Simulation:
                 if end is not None:
                     (buckets.get(end) or bucket(end))[0].append((index, e))
             for i, m in sorted(deliveries):
-                if pending[m.edge][i][1] != tick:
-                    continue  # a stale booking: this attempt was lost
+                entry = pending[m.edge].get(i)
+                if entry is None or entry[1] != tick:
+                    continue  # a stale booking: this attempt was lost (and maybe forgotten)
                 record(new(TraceEvent, (tick, MESSAGE_DELIVERED, (str(i),), None)))
                 del pending[m.edge][i]
                 item = (vertex_index[m.receiver], on_receive, m.receiver, (m.sender, m.payload))
@@ -421,7 +437,7 @@ class Simulation:
                     record(new(TraceEvent, (tick, SEND_INVOKED, (str(msg_id), v, dest), None)))
                     if e in up:
                         attempt(m, tick)
-                    else:
+                    elif dead is None or e not in dead:
                         pending[e][msg_id] = (m, None)
             del buckets[tick]
             if len(events) >= chunk:
@@ -479,5 +495,11 @@ class Simulation:
 
 def run(tvg: Tvg, protocol: Protocol, horizon: Tick, sink: Optional[TraceWriter] = None) -> Trace | TraceWriter:
     """The trace of ``protocol`` over ``tvg`` before ``horizon``: a new
-    ``Trace``, or ``sink`` once the run has been written to it."""
-    return Simulation(tvg, protocol, sink).advance(horizon)
+    ``Trace``, or ``sink`` once the run has been written to it.
+
+    Nothing can amend the ``Simulation`` a run builds, since only the sink
+    is returned; so the run forgets every message over an edge past its
+    last occurrence, which it could never deliver."""
+    sim = Simulation(tvg, protocol, sink)
+    sim._dead = set()  # a Tvg has no empty schedule: every edge has an occurrence
+    return sim.advance(horizon)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, FrozenSet, Iterable, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Tuple
 
 from .engine import EDGE_UP, MESSAGE_DELIVERED, OUTPUT_CHANGED, SEND_INVOKED, Trace, TraceEvent
 from .errors import DomainError
@@ -64,16 +64,21 @@ def nps_broadcast(g: StaticGraph, origin: VertexId) -> NpsFamily:
 
 class ReportFold:
     """The complexity report, folded over the records as a ``TraceWriter``
-    drains them.  It holds the invocation tick of each undelivered message
-    and the largest delay so far (the communication step), the first
-    appearance of each edge (for the starting time), and per vertex its
-    output and the tick from which its end-of-tick output has held.  A flip
-    and a flip back within one tick is no change.  The convergence tick is
-    the latest of those ticks, and no earlier than the starting time: from
-    it on every output equals the final one."""
+    drains them.  Message ids grow with the tick, so it holds one (first
+    message id, tick) pair per tick with a send, in tick order, and finds a
+    delivery's invocation tick among them by bisection.  It also holds the
+    largest delay so far (the communication step), the first appearance of
+    each edge (for the starting time), and per vertex its output and the
+    tick from which its end-of-tick output has held.  A flip and a flip
+    back within one tick is no change.  The convergence tick is the latest
+    of those ticks, and no earlier than the starting time: from it on every
+    output equals the final one.  A delivery whose id comes before every
+    recorded send raises a ``DomainError``: the trace does not start at
+    tick 0."""
 
     def start(self, initial_outputs: Dict[VertexId, Any]) -> None:
-        self._invoked: Dict[str, Tick] = {}
+        self._first_ids: List[int] = []
+        self._send_ticks: List[Tick] = []
         self._step = -1  # no delivery yet
         self._first: Dict[Edge, Tick] = {}
         self._outputs = dict(initial_outputs)
@@ -83,29 +88,34 @@ class ReportFold:
         self._before: Dict[VertexId, Tuple[Tick, Any, Tick]] = {}
 
     def update(self, events: Iterable[TraceEvent]) -> None:
-        invoked, first, outputs, since, before = self._invoked, self._first, self._outputs, self._since, self._before
+        from bisect import bisect_right
+
+        first_ids, send_ticks = self._first_ids, self._send_ticks
+        first, outputs, since, before = self._first, self._outputs, self._since, self._before
         step = self._step
-        try:
-            for t, kind, subject, value in events:
-                if kind == EDGE_UP:
-                    if subject not in first:
-                        first[subject] = t
-                elif kind == SEND_INVOKED:
-                    invoked[subject[0]] = t
-                elif kind == MESSAGE_DELIVERED:
-                    delay = t - invoked.pop(subject[0])
-                    if delay > step:
-                        step = delay
-                elif kind == OUTPUT_CHANGED:
-                    v = subject[0]
-                    mark = before.get(v)
-                    if mark is None or mark[0] != t:
-                        mark = before[v] = (t, outputs[v], since[v])
-                    outputs[v] = value
-                    since[v] = mark[2] if value == mark[1] else t
-        except KeyError as missing:  # on an engine's trace only ``invoked.pop`` misses
-            message = f"message {missing.args[0]} is delivered with no SendInvoked record"
-            raise DomainError(f"{message}: the trace does not start at tick 0") from None
+        for t, kind, subject, value in events:
+            if kind == EDGE_UP:
+                if subject not in first:
+                    first[subject] = t
+            elif kind == SEND_INVOKED:
+                if not send_ticks or send_ticks[-1] != t:
+                    first_ids.append(int(subject[0]))
+                    send_ticks.append(t)
+            elif kind == MESSAGE_DELIVERED:
+                k = bisect_right(first_ids, int(subject[0])) - 1
+                if k < 0:  # sent before the trace's first send
+                    message = f"message {subject[0]} is delivered with no SendInvoked record"
+                    raise DomainError(f"{message}: the trace does not start at tick 0")
+                delay = t - send_ticks[k]
+                if delay > step:
+                    step = delay
+            elif kind == OUTPUT_CHANGED:
+                v = subject[0]
+                mark = before.get(v)
+                if mark is None or mark[0] != t:
+                    mark = before[v] = (t, outputs[v], since[v])
+                outputs[v] = value
+                since[v] = mark[2] if value == mark[1] else t
         self._step = step
 
     def report(self, nps: NpsFamily) -> ComplexityReport:

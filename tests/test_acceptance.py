@@ -13,7 +13,9 @@
  6. the dominating-set protocol stabilizes on the strong set when one
     exists, on a seeded random corpus and, under three seeded all-recurrent
     schedules each, on every connected graph on <= 6 vertices with a strong
-    set (the sufficiency half of the paper's condition);
+    set (the sufficiency half of the paper's condition); where only the
+    eventual graph has a strong set and the footprint has none, a known gap
+    is pinned as it stands;
  7. the adversary perpetually destabilizes it when none exists, on C_5,
     K_3 and every connected graph on <= 6 vertices without a strong set
     (the necessity half);
@@ -311,6 +313,28 @@ def test_mdst_stabilizes_on_every_census_graph_with_a_strong_set():
             assert got == chosen, (index, seed, sorted(got), sorted(chosen))
             last_change = max((ev.time for ev in trace.events if ev.kind == OUTPUT_CHANGED), default=0)
             assert last_change < horizon - 100, (index, seed)  # held through the last 100 ticks
+
+
+def test_known_gap_mdst_follows_the_footprint_not_the_eventual_graph():
+    """A known gap, pinned as it stands: the sufficiency half is checked on
+    all-recurrent schedules only.  Here the eventual graph is the 4-cycle
+    p1-p2-p3-p4, whose strong set is {p1, p3}; the footprint adds p2-p4,
+    present only during [3, 7), and has no strong set.  mdst follows the
+    footprint, so its outputs never settle: they change within the last 100
+    ticks, which the tests of the sufficiency half rule out, and at 800 ticks
+    on the last one."""
+    tvg = generate_random_cot(4, 0.5, 0.3, 16, 50)
+    eventual = eventual_underlying_graph(tvg)
+    assert tvg.graph.edges - eventual.edges == {("p2", "p4")}
+    assert not tvg.schedule[("p2", "p4")].recurrent
+    assert find_smds(eventual) == {"p1", "p3"}
+    assert find_smds(tvg.graph) is None
+    last_changes = []
+    for horizon in (800, 3000):
+        trace = run(tvg, MdstProtocol(), horizon)
+        last_changes.append(max(ev.time for ev in trace.events if ev.kind == OUTPUT_CHANGED))
+        assert last_changes[-1] >= horizon - 100, horizon
+    assert last_changes[0] == 799
 
 
 # --- 7: perpetual destabilization ------------------------------------------

@@ -11,9 +11,9 @@ from oracles import (
     output_timeline,
     starting_time,
 )
-from tvgsim.engine import Simulation, run
+from tvgsim.engine import MESSAGE_DELIVERED, SEND_INVOKED, Simulation, TraceEvent, run
 from tvgsim.errors import DomainError
-from tvgsim.metrics import NpsFamily, convergence_steps, nps_broadcast, nps_ug
+from tvgsim.metrics import NpsFamily, ReportFold, convergence_steps, nps_broadcast, nps_ug
 from tvgsim.protocols import FloodProtocol, UgProtocol
 from tvgsim.scenarios import generate_gk, generate_random_cot, named_graph
 
@@ -133,3 +133,23 @@ def test_a_forks_trace_is_refused_with_a_domain_error():
     twin.advance(60)
     with pytest.raises(DomainError, match=r"message 32 .*does not start at tick 0"):
         convergence_steps(twin.trace, nps_ug(tvg.graph))
+
+
+def test_a_delivery_before_every_recorded_send_is_refused():
+    # The fold finds a delivery's invocation tick by bisecting the first
+    # message id of each tick with a send; an id below them all has none.
+    fold = ReportFold()
+    fold.start({"a": False, "b": False})
+    with pytest.raises(DomainError, match=r"message 1 .*does not start at tick 0"):
+        fold.update([TraceEvent(2, MESSAGE_DELIVERED, ("1",))])
+    fold.start({"a": False, "b": False})
+    fold.update([
+        TraceEvent(3, SEND_INVOKED, ("5", "a", "b")),
+        TraceEvent(3, SEND_INVOKED, ("6", "b", "a")),
+        TraceEvent(4, SEND_INVOKED, ("7", "a", "b")),
+        TraceEvent(6, MESSAGE_DELIVERED, ("6",)),
+        TraceEvent(6, MESSAGE_DELIVERED, ("7",)),
+    ])
+    assert fold._step == 3  # message 6 was invoked at tick 3
+    with pytest.raises(DomainError, match=r"message 4 .*does not start at tick 0"):
+        fold.update([TraceEvent(7, MESSAGE_DELIVERED, ("4",))])

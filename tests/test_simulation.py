@@ -184,6 +184,46 @@ def test_amend_keeps_a_delivery_on_the_new_closing_boundary():
     assert trace.serialize() == run(cut, SendAtInit(), 20).serialize()
 
 
+def test_amend_revives_a_dead_edge_and_sends_its_parked_message():
+    # Sent at 0, due at 3 over an edge up during [0, 2) only: lost at 2, it
+    # waits on an edge with no next occurrence.  A run would forget it; a
+    # Simulation parks it, so that an amend giving the edge a future sends it.
+    tvg = two_vertex(PresenceSchedule.of([(0, 2)]), 3)
+    revived = PresenceSchedule.of([(0, 2), (8, 12)])
+    sim = Simulation(tvg, SendAtInit())
+    sim.advance(5)
+    assert tvg.schedule[("a", "b")].next_occurrence(5) is None
+    assert [(i, arrival) for i, (_, arrival) in sim._pending[("a", "b")].items()] == [(1, None)]
+    sim.amend(("a", "b"), revived)
+    trace = sim.advance(20)
+    assert kinds(trace) == [(2, EDGE_DOWN), (2, MESSAGE_LOST), (11, MESSAGE_DELIVERED), (12, EDGE_DOWN)]
+    assert trace.serialize() == run(two_vertex(revived, 3), SendAtInit(), 20).serialize()
+
+
+def test_amend_revives_the_dead_edges_of_a_random_scenario():
+    """Past the last occurrence of every eventually missing edge, with ug's
+    messages parked on them, each such edge gets a periodic future; the
+    trace is the run on the amended scenario from tick 0, which delivers
+    parked messages."""
+    tvg = generate_random_cot(10, 0.3, 0.2, 32, 1)
+    dead = [e for e, schedule in tvg.schedule.items() if not schedule.recurrent]
+    now = 1 + max(tvg.schedule[e].intervals[-1][1] for e in dead)
+    revived = {e: PresenceSchedule.of(tvg.schedule[e].intervals, PeriodicTail(now + 3, 7, 4)) for e in dead}
+    amended = Tvg(tvg.graph, {**tvg.schedule, **revived}, tvg.latency)
+    protocol = UgProtocol()  # one instance: ug values compare equal only within one
+    sim = Simulation(tvg, protocol)
+    sim.advance(now)
+    parked = {str(i) for e in dead for i in sim._pending[e]}
+    assert len(dead) > 1 and len(parked) > 10
+    for e in dead:
+        sim.amend(e, revived[e])
+    horizon = now + 60
+    trace = sim.advance(horizon)
+    assert trace.serialize() == run(amended, protocol, horizon).serialize()
+    delivered = {ev.subject[0] for ev in trace.events if ev.kind == MESSAGE_DELIVERED and ev.time >= now}
+    assert parked <= delivered
+
+
 class Relay(Protocol):
     """``a`` sends to ``b`` at initialization and again when ``c``'s message
     reaches it."""

@@ -27,7 +27,7 @@ from tvgsim.engine import (
 )
 from tvgsim.errors import DomainError
 from tvgsim.graphs import StaticGraph
-from tvgsim.metrics import ReportFold, convergence_steps
+from tvgsim.metrics import ReportFold, convergence_steps, nps_ug
 from tvgsim.protocols import PROTOCOLS, FloodProtocol, MdstProtocol, UgProtocol
 from tvgsim.scenarios import generate_random_cot
 from tvgsim.tvg import PresenceSchedule, Tvg
@@ -222,6 +222,53 @@ def test_writer_holds_at_most_a_chunk_plus_one_tick():
     assert sum(per_tick.values()) > 8 * CHUNK  # many drains
     assert CHUNK <= writer.high_water <= CHUNK + max(per_tick.values())
     assert writer.events == []
+
+
+class _SendTicks:
+    """A fold that keeps the ticks with a send."""
+
+    def start(self, initial_outputs):
+        self.ticks = set()
+
+    def update(self, events):
+        self.ticks.update(t for t, kind, _, _ in events if kind == SEND_INVOKED)
+
+
+def _dead_edge_entries(sim):
+    """The ledger entries on edges that are down with no next occurrence."""
+    return sum(
+        len(sim._pending[e]) for e, schedule in sim.schedule.items()
+        if e not in sim._up and schedule.next_occurrence(sim.now) is None
+    )
+
+
+def test_a_run_keeps_nothing_it_can_never_deliver(monkeypatch, tmp_path):
+    """Over eventually missing edges, the ``Simulation`` that ``run`` builds
+    ends with no ledger entry on an edge with no next occurrence, and the
+    report fold with one pair per tick with a send; a ``Simulation``, which
+    ``amend`` may revive, parks thousands there.  Both give one trace."""
+    tvg = generate_random_cot(32, 0.3, 0.2, 64, 1)
+    horizon = 400
+    built = []
+    advance = Simulation.advance
+
+    def captured(self, until):
+        built.append(self)
+        return advance(self, until)
+
+    monkeypatch.setattr(Simulation, "advance", captured)
+    protocol, path = UgProtocol(), tmp_path / "trace.txt"
+    fold, sends = ReportFold(), _SendTicks()
+    with TraceWriter(str(path), _Tee(fold, sends)) as writer:
+        run(tvg, protocol, horizon, writer)
+    (ran,) = built
+    parked = Simulation(tvg, protocol)
+    parked.advance(horizon)
+    assert _dead_edge_entries(ran) == 0
+    assert _dead_edge_entries(parked) > 1000
+    assert len(fold._first_ids) == len(fold._send_ticks) == len(sends.ticks) > 0
+    assert path.read_text() == parked.trace.serialize()
+    assert fold.report(nps_ug(tvg.graph)) == convergence_steps(parked.trace, nps_ug(tvg.graph))
 
 
 def test_a_streaming_simulation_forks_into_an_in_memory_trace(tmp_path):
