@@ -4,32 +4,33 @@ Vertices are opaque string identifiers ordered by (length, byte value), which
 gives a strict total order over ids matching ``[A-Za-z0-9_]+``.  Edges are
 canonical ordered pairs (smaller endpoint first).
 
-Caching.  A ``StaticGraph`` computes its adjacency once, on first use, and
-every query on it (``neighbors``, ``component_of``, ``is_connected``,
-``diameter``, ``is_dominating``, the dominating-set scan) reads that one
-mapping; ``component_of`` returns the graph itself when it is connected.
-Values derived from a whole graph are memoized by ``bounded_cache``: an LRU
-cache of at most ``CACHE_MAXSIZE`` entries, keyed by the graph.  Here these
-are the minimal-dominating-set scan and the strong-set search.  The
-protocols use the same decorator for the dominating-set decision, keyed by
-the underlying-graph value, which hashes and compares as its vertex mask,
-edge mask and edge index: it equals only values of the same index, so each
-protocol instance's values have their own entries.  ``cache_stats`` reports
-the hits, misses and sizes of every such cache.
+Caching.  A ``StaticGraph`` builds, once each and on first use, its
+adjacency (read by ``neighbors`` and ``is_dominating``) and its rank
+encoding (read by every traversal, below); ``component_of`` returns the
+graph itself when it is connected.  Values derived from a whole graph are
+memoized by ``bounded_cache``: an LRU cache of at most ``CACHE_MAXSIZE``
+entries, keyed by the graph.  Here these are the minimal-dominating-set scan
+and the strong-set search.  The protocols use the same decorator for the
+dominating-set decision, keyed by the underlying-graph value, which hashes
+and compares as its vertex mask, edge mask and edge index: it equals only
+values of the same index, so each protocol instance's values have their own
+entries.  ``cache_stats`` reports the hits, misses and sizes of every such
+cache.
 
-Rank masks.  The subset scan and the strong-set search encode a graph as
-one int per vertex, in id order: the mask of its neighbours' ranks.  A
-dominated vertex's cut-set test is then one BFS over those masks from that
-vertex, leaving out its edges to its dominators; no subgraph is built.
+Rank masks.  The rank encoding lists the vertices in id order, each with the
+mask of its neighbours' ranks.  The kernel's one BFS runs over those masks a
+layer at a time: connectivity, components, the diameter (an eccentricity is
+a BFS's layers less one), the subset scan and the strong-set search all use
+it.  A dominated vertex's cut-set test is one BFS from that vertex that
+leaves out its edges to its dominators; no subgraph is built.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .errors import CapacityError, DomainError
 
@@ -98,7 +99,8 @@ class StaticGraph:
         return StaticGraph(vs, es)
 
     def sorted_vertices(self):
-        return sorted(self.vertices, key=vertex_key)
+        # By value, then stably by length: ``vertex_key`` order, no Python key.
+        return sorted(sorted(self.vertices), key=len)
 
     def sorted_edges(self):
         return sorted(self.edges, key=edge_key)
@@ -113,6 +115,23 @@ class StaticGraph:
             adj[u].append(v)
             adj[v].append(u)
         return {v: tuple(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def ranks(self) -> Tuple[Tuple[VertexId, ...], Dict[VertexId, int], Tuple[int, ...]]:
+        """The rank encoding, built once per graph from its edges: the
+        vertices in id order, each one's rank in that order, and each one's
+        neighbours as a mask of their ranks.  Tuples, as in the adjacency:
+        every caller shares the one value."""
+        verts = self.sorted_vertices()
+        rank = {v: i for i, v in enumerate(verts)}
+        bits = [1 << i for i in range(len(verts))]
+        neighbours = [0] * len(verts)
+        for (u, v) in self.edges:
+            i = rank[u]
+            j = rank[v]
+            neighbours[i] |= bits[j]
+            neighbours[j] |= bits[i]
+        return tuple(verts), rank, tuple(neighbours)
 
     def neighbors(self, v: VertexId) -> set:
         if v not in self.vertices:
@@ -138,52 +157,42 @@ class StaticGraph:
         graph itself when it is connected."""
         if v not in self.vertices:
             raise DomainError(f"unknown vertex {v!r}")
-        seen = _bfs_distances(self.adjacency, v)
-        if len(seen) == len(self.vertices):
+        verts, rank, neighbours = self.ranks
+        seen = _reached(neighbours, 0, 1 << rank[v])[0]
+        if seen == (1 << len(verts)) - 1:
             return self
-        es = frozenset(e for e in self.edges if e[0] in seen and e[1] in seen)
-        return StaticGraph(frozenset(seen), es)
+        members = _members(verts, seen)
+        es = frozenset(e for e in self.edges if e[0] in members and e[1] in members)
+        return StaticGraph(members, es)
+
+
+def _members(verts: Tuple[VertexId, ...], mask: int) -> FrozenSet[VertexId]:
+    """The vertices whose ranks ``mask`` holds."""
+    return frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
 
 
 def components(g: StaticGraph) -> Iterator[FrozenSet[VertexId]]:
     """Vertex sets of the connected components, by their least vertex."""
-    seen = set()
-    for v in g.sorted_vertices():
-        if v not in seen:
-            comp = frozenset(_bfs_distances(g.adjacency, v))
-            seen |= comp
-            yield comp
+    verts, _, neighbours = g.ranks
+    left = (1 << len(verts)) - 1
+    while left:
+        comp = _reached(neighbours, 0, left & -left)[0]
+        left &= ~comp
+        yield _members(verts, comp)
 
 
 def is_connected(g: StaticGraph) -> bool:
     if not g.vertices:
         raise DomainError("connectivity is undefined on an empty vertex set")
-    return len(_bfs_distances(g.adjacency, next(iter(g.vertices)))) == len(g.vertices)
-
-
-def _bfs_distances(adj, source):
-    """Hop distance from ``source`` to every vertex it reaches: the one BFS
-    behind connectivity, components and the diameter."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+    verts, _, neighbours = g.ranks
+    return _reached(neighbours, 0, 1)[0] == (1 << len(verts)) - 1
 
 
 def diameter(g: StaticGraph) -> int:
     if not is_connected(g):
         raise DomainError("diameter is undefined on a disconnected graph")
-    adj = g.adjacency
-    best = 0
-    for v in g.vertices:
-        dist = _bfs_distances(adj, v)
-        best = max(best, max(dist.values()))
-    return best
+    neighbours = g.ranks[2]
+    return max(_reached(neighbours, 0, 1 << i)[1] for i in range(len(neighbours))) - 1
 
 
 def is_dominating(g: StaticGraph, m: Iterable[VertexId]) -> bool:
@@ -204,39 +213,26 @@ def is_minimal_dominating(g: StaticGraph, m: Iterable[VertexId]) -> bool:
     return all(not is_dominating(g, ms - {v}) for v in ms)
 
 
-def _neighbour_masks(g: StaticGraph) -> Tuple[List[VertexId], List[int]]:
-    """The vertices in id order, and each one's neighbours as a mask of
-    their ranks in that order: the one encoding of the subset scan and the
-    witness search."""
-    verts = g.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    adj = g.adjacency
-    masks = []
-    for v in verts:
-        mask = 0
-        for u in adj[v]:
-            mask |= 1 << index[u]
-        masks.append(mask)
-    return verts, masks
-
-
-def _reached(neighbours: List[int], seen: int, frontier: int) -> int:
-    """Mask of the vertices in ``seen``, in ``frontier`` or reachable from
-    ``frontier`` outside ``seen``: a BFS over rank masks, a layer at a time."""
+def _reached(neighbours: Tuple[int, ...], seen: int, frontier: int) -> Tuple[int, int]:
+    """The kernel's one BFS, over rank masks a layer at a time: the mask of
+    the vertices in ``seen``, in ``frontier`` or reachable from ``frontier``
+    outside ``seen``, and the number of layers, ``frontier`` the first."""
+    layers = 0
     while frontier:
         seen |= frontier
+        layers += 1
         layer = 0
         while frontier:
             low = frontier & -frontier
             layer |= neighbours[low.bit_length() - 1]
             frontier ^= low
         frontier = layer & ~seen
-    return seen
+    return seen, layers
 
 
 @bounded_cache
 def _enumerate_mds_cached(g: StaticGraph) -> Tuple[FrozenSet[VertexId], ...]:
-    verts, neighbours = _neighbour_masks(g)
+    verts, _, neighbours = g.ranks
     n = len(verts)
     closed = [mask | 1 << i for i, mask in enumerate(neighbours)]
     full = (1 << n) - 1
@@ -282,24 +278,24 @@ def smds_witness(g: StaticGraph, m: Iterable[VertexId]) -> Optional[VertexId]:
     cut-set, or None when the candidate passes the characterization.  Vertices
     of ``m`` outside the graph are ignored."""
     ms = frozenset(m)
-    verts, neighbours = _neighbour_masks(g)
-    if not g.vertices <= ms and _reached(neighbours, 1, neighbours[0]) != (1 << len(verts)) - 1:
+    if not g.vertices <= ms and not is_connected(g):
         raise DomainError("cut-set test requires a connected graph")
-    return _first_witness(verts, neighbours, ms)
+    return _first_witness(g, ms)
 
 
-def _first_witness(verts: List[VertexId], neighbours: List[int], ms: FrozenSet[VertexId]) -> Optional[VertexId]:
+def _first_witness(g: StaticGraph, ms: FrozenSet[VertexId]) -> Optional[VertexId]:
     # find_smds and smds_witness share this helper, which calls no public
     # name, so a count of calls to either counts only its own callers.
     # The graph is connected, so the edges from p to its dominators are a
     # cut-set exactly when a BFS from p that leaves them out misses a vertex.
+    verts, _, neighbours = g.ranks
     full = (1 << len(verts)) - 1
     dominators = 0
     for i, v in enumerate(verts):
         if v in ms:
             dominators |= 1 << i
     for i, p in enumerate(verts):
-        if not dominators >> i & 1 and _reached(neighbours, 1 << i, neighbours[i] & ~dominators) == full:
+        if not dominators >> i & 1 and _reached(neighbours, 1 << i, neighbours[i] & ~dominators)[0] == full:
             return p
     return None
 
@@ -317,8 +313,7 @@ def find_smds(g: StaticGraph) -> Optional[FrozenSet[VertexId]]:
     if not is_connected(g):
         raise DomainError("strong-MDS search requires a connected graph")
     check_subset_scan(g.vertices)
-    verts, neighbours = _neighbour_masks(g)
     for candidate in _enumerate_mds_cached(g):
-        if _first_witness(verts, neighbours, candidate) is None:
+        if _first_witness(g, candidate) is None:
             return candidate
     return None

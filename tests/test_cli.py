@@ -7,7 +7,7 @@ import pytest
 
 from conftest import ForwardingProxy
 from tvgsim.cli import main
-from tvgsim import engine
+from tvgsim import engine, graphs
 from tvgsim.engine import Simulation, run
 from tvgsim.io import load_scenario, save_scenario
 from tvgsim.protocols import MdstProtocol, UgProtocol
@@ -74,6 +74,20 @@ def test_analyze_prints_every_candidate_witness_without_a_strong_set(tmp_path, c
     assert main(["analyze", str(path), "--all-mds", "--smds"]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (C5_ANALYSIS, "")
+
+
+def test_analyze_encodes_the_graph_once(tmp_path, capsys, monkeypatch):
+    # Connectivity, the diameter, the subset scan, the strong-set search and
+    # every witness read one rank encoding, whose build sorts the vertices.
+    path = tmp_path / "c5.txt"
+    path.write_text(C5_P_TEXT)
+    sort = graphs.StaticGraph.sorted_vertices
+    sorted_graphs = []
+    monkeypatch.setattr(graphs.StaticGraph, "sorted_vertices", lambda g: sorted_graphs.append(g) or sort(g))
+    graphs.clear_caches()
+    assert main(["analyze", str(path), "--all-mds", "--smds"]) == 0
+    assert capsys.readouterr().out == C5_ANALYSIS
+    assert len(sorted_graphs) == 1
 
 
 def test_analyze_star(tmp_path, capsys):

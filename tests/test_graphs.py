@@ -11,6 +11,7 @@ from oracles import enumerate_connected_spanning_subgraphs, first_witness_by_cut
 from tvgsim.errors import CapacityError, DomainError
 from tvgsim.graphs import (
     StaticGraph,
+    components,
     diameter,
     edge_key,
     enumerate_minimal_dominating_sets,
@@ -50,6 +51,7 @@ def test_sorted_edges_is_edge_key_order(pairs):
     # the flat key is the order of the endpoints' vertex keys
     by_endpoints = sorted(g.edges, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))
     assert g.sorted_edges() == sorted(g.edges, key=edge_key) == by_endpoints
+    assert g.sorted_vertices() == sorted(g.vertices, key=vertex_key)
 
 
 def test_of_rejects_stray_endpoint():
@@ -73,7 +75,9 @@ def test_component_of():
     assert comp.edges == frozenset({("a", "b")})
 
 
-small_graphs = st.integers(1, 8).flatmap(
+# Up to 12 vertices, so that q10 and q11 sort after q2: id order is not
+# string order.
+small_graphs = st.integers(1, 12).flatmap(
     lambda n: st.tuples(
         st.just(n),
         st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])),
@@ -97,6 +101,12 @@ def test_cached_adjacency_matches_edge_scan_and_networkx(graph):
         assert comp.vertices == frozenset(f"q{i}" for i in expected)
         assert comp.edges == frozenset(e for e in g.edges if e[0] in comp.vertices)
         assert (comp is g) == nx.is_connected(nxg)
+    assert is_connected(g) == nx.is_connected(nxg)
+    expected = [{f"q{i}" for i in c} for c in nx.connected_components(nxg)]
+    expected.sort(key=lambda c: vertex_key(min(c, key=vertex_key)))
+    assert list(components(g)) == expected
+    if nx.is_connected(nxg):
+        assert diameter(g) == nx.diameter(nxg)
 
 
 def test_neighbors_returns_a_fresh_set():
