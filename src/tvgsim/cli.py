@@ -5,6 +5,10 @@ or written, 2 domain error, 3 simulation did not converge within the horizon.
 
 The argument parser is built once per process, on the first call to
 ``main``, and reused by every later call; parsing keeps no state in it.
+An argv whose first word names a command is parsed by that command's own
+parser, which is what the full parser hands it to; anything else (no
+command, an option first, an unknown word) and any argument the command
+leaves over go through the full parser, so usage and error texts are its.
 ``simulate`` and ``journey`` keep the last scenario they parsed, keyed by
 the file's bytes: a call that reads the same bytes again reuses it, and any
 other bytes are parsed afresh.  The memo holds one scenario and never holds
@@ -23,7 +27,6 @@ from typing import Optional
 from . import graphs, io, metrics, scenarios
 from .engine import Protocol, TraceWriter, run
 from .errors import DomainError, NotConvergedError, ParseError, TvgsimError
-from .graphs import vertex_key
 from .protocols import PROTOCOLS, get_protocol
 from .tvg import Tvg, earliest_arrival
 
@@ -34,7 +37,7 @@ EXIT_NOT_CONVERGED = 3
 
 
 def _fmt_set(vs) -> str:
-    return "{" + ", ".join(sorted(vs, key=vertex_key)) + "}"
+    return "{" + ", ".join(graphs.sorted_ids(vs)) + "}"
 
 
 def _fmt_edges(es) -> str:
@@ -215,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, required=True)
     p.set_defaults(func=cmd_adversary)
 
+    parser.commands = sub.choices  # command name -> its parser, for ``main``
     return parser
 
 
@@ -225,8 +229,15 @@ def main(argv: Optional[list] = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser.parse_args(argv)
+        command = _parser.commands.get(argv[0]) if argv else None
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:])
+            args.command = argv[0]
+        if command is None or rest:
+            args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -72,6 +72,12 @@ def vertex_key(v: VertexId):
     return (len(v), v)
 
 
+def sorted_ids(vs):
+    """``vs`` in ``vertex_key`` order with no Python key: by value, then
+    stably by length."""
+    return sorted(sorted(vs), key=len)
+
+
 def edge_key(e: Edge):
     """The canonical edge order: each endpoint's ``vertex_key``, flattened."""
     u, v = e
@@ -99,8 +105,7 @@ class StaticGraph:
         return StaticGraph(vs, es)
 
     def sorted_vertices(self):
-        # By value, then stably by length: ``vertex_key`` order, no Python key.
-        return sorted(sorted(self.vertices), key=len)
+        return sorted_ids(self.vertices)
 
     def sorted_edges(self):
         return sorted(self.edges, key=edge_key)

@@ -17,7 +17,9 @@ tail occurrences before ``start``.
 
 ``earliest_arrival`` reads a Tvg's ``incidence`` table: each vertex's
 (neighbour, schedule, latency) triples, built on the first query and kept
-on the Tvg, so a batch of queries on one Tvg builds it once.
+on the Tvg, so a batch of queries on one Tvg builds it once.  It queries
+an edge's window only when the hop could still improve on the neighbour's
+best arrival, so a vertex's expansion skips the vertex it was reached from.
 """
 
 from __future__ import annotations
@@ -260,8 +262,10 @@ def earliest_arrival(
     incidence = tvg.incidence
     best: Dict[VertexId, Tick] = {source: after}
     # Entries (tick, len(v), v) pop in (tick, vertex_key) order.  Which
-    # vertices are expanded, and so which windows are queried, does not
-    # depend on the order neighbours are relaxed in.
+    # vertices are expanded does not depend on the order neighbours are
+    # relaxed in.  A window found at or after t arrives at or after t + z,
+    # so a neighbour already reached by then is skipped unqueried: a window
+    # is queried only where it might improve the neighbour's arrival.
     heap: List[Tuple[Tick, int, VertexId]] = [(after, len(source), source)]
     while heap:
         t, _, v = heapq.heappop(heap)
@@ -270,11 +274,14 @@ def earliest_arrival(
         if v == target:
             return t
         for u, sched, z in incidence[v]:
+            known = best.get(u)
+            if known is not None and known <= t + z:
+                continue
             dep = sched.earliest_window(t, z if deliverable else 0)
             if dep is None:
                 continue
             arrival = dep + z
-            if u not in best or arrival < best[u]:
+            if known is None or arrival < known:
                 best[u] = arrival
                 heapq.heappush(heap, (arrival, len(u), u))
     return best.get(target)

@@ -134,6 +134,64 @@ def test_usage_error():
     assert main([]) == 1
 
 
+JOURNEY = ["journey", "g1.json", "--from", "p0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["frobnicate"],
+        ["--bogus"],
+        ["--bogus", "analyze", "g.txt"],  # an option before the command
+        ["analyze", "g.txt", "extra"],
+        ["analyze", "g.txt", "--smds"],
+        JOURNEY,  # no --to
+        [*JOURNEY, "--to", "p3", "--bogus"],
+        [*JOURNEY, "--to", "p3", "--after", "x"],
+        [*JOURNEY, "--to", "p3", "--after", "-5"],
+        [*JOURNEY, "--to", "p3", "--deliv"],
+        ["journey", "-h"],
+        ["generate"],
+        ["generate", "-h"],
+        ["generate", "random", "--nodes", "x", "--seed", "1", "-o", "r.json"],
+    ],
+)
+def test_main_parses_as_the_full_parser_does(argv, monkeypatch, capsys):
+    # main hands an argv that starts with a command to that command's
+    # parser; what it prints and returns, and the namespace it passes on,
+    # must be the full parser's.  Each command's func records the namespace.
+    from tvgsim import cli
+
+    parsed = []
+
+    def record(args):
+        parsed.append(args)
+        return cli.EXIT_OK
+
+    def recording_parser():
+        parser = cli.build_parser()
+        for command in parser.commands.values():
+            command.set_defaults(func=record)
+        return parser
+
+    try:
+        expected = recording_parser().parse_args(argv)
+        code = cli.EXIT_OK
+    except SystemExit as exc:
+        expected = None
+        code = cli.EXIT_OK if exc.code in (0, None) else cli.EXIT_USAGE
+    reference = (code, *capsys.readouterr())
+    monkeypatch.setattr(cli, "_parser", recording_parser())
+    assert (main(argv), *capsys.readouterr()) == reference
+    assert parsed == ([] if expected is None else [expected])
+    if argv == [*JOURNEY, "--to", "p3", "--bogus"]:
+        assert "tvgsim: error: unrecognized arguments: --bogus\n" in reference[2]
+    if argv == JOURNEY:
+        assert "tvgsim journey: error: the following arguments are required: --to\n" in reference[2]
+
+
 def test_simulate_with_metrics_and_trace(g1_file, tmp_path, capsys):
     trace_path = tmp_path / "trace.txt"
     code = main(

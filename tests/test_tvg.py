@@ -301,6 +301,19 @@ def test_earliest_arrival_waits_for_presence():
     assert earliest_arrival(short, "a", "b", deliverable=True) is None
 
 
+def test_earliest_arrival_skips_hops_that_cannot_improve(monkeypatch):
+    # On the path p0-p1-p2, always present with unit latencies, p1's
+    # expansion cannot improve on p0's arrival 0, so only p0-p1 and p1-p2
+    # are queried.  The time-expanded oracle tests check the answers.
+    g = StaticGraph.of(["p0", "p1", "p2"], [("p0", "p1"), ("p1", "p2")])
+    tvg = Tvg(g, {e: ALWAYS for e in g.edges}, {e: 1 for e in g.edges})
+    calls = []
+    window = PresenceSchedule.earliest_window
+    monkeypatch.setattr(PresenceSchedule, "earliest_window", lambda s, t, d: calls.append(t) or window(s, t, d))
+    assert earliest_arrival(tvg, "p0", "p2") == 2
+    assert len(calls) == 2
+
+
 def test_restrict_drops_emptied_edges():
     g1 = generate_gk(1)
     cut = restrict(g1, [([("p0", "p2")], (0, None))])
